@@ -1,6 +1,6 @@
 """Benchmark of nishimori_dbm: one workload, one seed, one JSON result line.
 
-    python3 perfbench/run.py --workload critical-scan --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload critical-scan --seed 1 --seconds 25 --trace 0
 
 Run from the root of a checkout.  The steps, in order:
 
@@ -38,7 +38,7 @@ OUT = os.path.join(HERE, "out")
 # Fixed BLAS thread count of every benchmark process: one thread per process
 # keeps run-to-run noise from another tenant's load out of the matvecs.
 BLAS_THREADS = 1
-SETUP_PROBES = 4
+SETUP_PROBES = 2
 WORKER_TIMEOUT_S = 150
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
