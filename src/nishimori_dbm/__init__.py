@@ -8,7 +8,7 @@ theory against exact enumeration and block-Gibbs sampling at finite N.
 """
 
 from .model import (
-    EffectiveMatrices,
+    Chain,
     ModelSpec,
     OddEvenSplit,
     build_effective,
@@ -16,6 +16,7 @@ from .model import (
     m_squared_oo,
     odd_even_split,
     perron_vector,
+    rho_oo,
     spectral_radius_oo,
 )
 from .phase import (

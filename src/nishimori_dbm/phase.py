@@ -1,7 +1,10 @@
 """Phase-diagram scans, form-factor optimization, and the instability check.
 
 At zero field and even K the symmetry-broken phase occupies the region
-rho([M^2]^(oo)) > 1.  For a fixed coupling matrix the spectral radius can
+rho([M^2]^(oo)) > 1.  The radius is exact everywhere here: ``model.rho_oo``
+takes it as the top eigenvalue of the symmetric block [S^2]^(oo), to which
+[M^2]^(oo) is diagonally similar, in one batched eigensolve over every
+row of the simplex grid.  For a fixed coupling matrix the spectral radius can
 be tuned through the form factors; its supremum over the simplex is
 (max_r mu_{r,r+1})^2 / 4, attained only on specific sparse configurations:
 either two adjacent layers of weight 1/2 across a maximal edge, or a
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import ModelSpec, build_effective, perron_vector, spectral_radius_oo
+from .model import ModelSpec, build_effective, perron_vector, rho_oo, spectral_radius_oo
 from .special_functions import QuadratureRule, default_rule
 from .variational import Phase, pi_value, solve_fixed_point
 
@@ -153,49 +156,6 @@ def write_scan_csv(points: list[PhasePoint], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _oo_block_batch(alpha: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """[M^2]^(oo) for a batch of form-factor rows; shape (B, m, m)."""
-    b, k = alpha.shape
-    odd = np.arange(0, k, 2)
-    m = len(odd)
-    block = np.zeros((b, m, m))
-    for l, i in enumerate(odd):
-        diag = np.zeros(b)
-        if i > 0:
-            diag += mu[i - 1] ** 2 * alpha[:, i - 1] * alpha[:, i]
-        if i < k - 1:
-            diag += mu[i] ** 2 * alpha[:, i] * alpha[:, i + 1]
-        block[:, l, l] = diag
-        if i + 2 < k:
-            block[:, l, l + 1] = mu[i] * alpha[:, i + 1] * mu[i + 1] * alpha[:, i + 2]
-        if i - 2 >= 0:
-            block[:, l, l - 1] = mu[i - 1] * alpha[:, i - 1] * mu[i - 2] * alpha[:, i - 2]
-    return block
-
-
-def _rho_batch(block: np.ndarray, iterations: int = 40) -> np.ndarray:
-    """Power iteration over a batch of small nonnegative matrices."""
-    b, m, _ = block.shape
-    v = np.full((b, m), 1.0 / m)
-    lam = np.zeros(b)
-    for _ in range(iterations):
-        w = np.einsum("bij,bj->bi", block, v)
-        s = w.sum(axis=1)
-        alive = s > 0.0
-        lam = np.where(alive, np.divide(s, v.sum(axis=1), where=alive,
-                                        out=np.zeros_like(s)), 0.0)
-        v = np.where(alive[:, None], np.divide(w, s[:, None], where=alive[:, None],
-                                               out=v.copy()), v)
-    return lam
-
-
-def _rho_exact(alpha: np.ndarray, mu_full_sup: np.ndarray) -> float:
-    block = _oo_block_batch(alpha[None, :], mu_full_sup)[0]
-    if not np.any(block):
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(block))))
-
-
 def _simplex_grid(k: int, steps: int):
     for bars in itertools.combinations(range(steps + k - 1), k - 1):
         edges = (-1,) + bars + (steps + k - 1,)
@@ -234,22 +194,18 @@ def optimize_form_factors(mu, grid_step: float = 1.0 / 40.0,
     k = len(mu) + 1
     steps = int(round(1.0 / grid_step))
     grid = _simplex_grid_array(k, steps)
-    lam = _rho_batch(_oo_block_batch(grid, mu))
-    # exact re-evaluation of the best grid candidates guards against slow
-    # power-iteration convergence on near-degenerate spectra
-    top = np.argsort(lam)[-256:]
-    exact = [(float(_rho_exact(grid[i], mu)), i) for i in top]
-    best_rho, best_i = max(exact)
-    alpha = grid[best_i]
+    lam = rho_oo(grid, mu)
+    best_i = int(np.argmax(lam))
+    alpha, best_rho = grid[best_i], float(lam[best_i])
     if refine:
         result = minimize(
-            lambda v: -_rho_exact(_project_simplex(v), mu),
+            lambda v: -float(rho_oo(_project_simplex(v), mu)),
             alpha,
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
         )
         candidate = _project_simplex(result.x)
-        cand_rho = _rho_exact(candidate, mu)
+        cand_rho = float(rho_oo(candidate, mu))
         if cand_rho > best_rho:
             alpha, best_rho = candidate, cand_rho
     return alpha.copy(), float(best_rho)
@@ -322,8 +278,7 @@ def perron_instability_check(spec: ModelSpec, epsilons=(1e-2, 1e-3, 1e-4),
     em = build_effective(spec)
     v = perron_vector(em)  # rejects reducible chains
     rho = spectral_radius_oo(em)
-    alpha_odd = spec.alpha[0::2]
-    quad_coeff = float(v @ (0.5 * alpha_odd * v))
+    quad_coeff = float(v @ (0.5 * em.alpha_o * v))
     pi0 = pi_value(np.zeros(spec.k // 2), spec, rule)
     delta = np.array([pi_value(e * v, spec, rule) - pi0 for e in epsilons])
     predicted = np.array([0.5 * e * e * quad_coeff * (rho - 1.0) for e in epsilons])

@@ -122,22 +122,37 @@ def _gauss_args(x: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     return np.sqrt(x)[..., None] * rule.nodes + x[..., None]
 
 
+def _expect(g, x, rule, name, limit, cap=None):
+    """E[g(z sqrt(x) + x)] for each x >= 0, scalar in, scalar out.
+
+    Arguments above ``ASYMPTOTIC_CUTOFF`` take ``limit(x)`` instead of the
+    quadrature sum; ``cap``, if given, bounds the quadrature sums from above.
+    """
+    rule = rule or default_rule()
+    x = _clamped(x, name)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    big = x > ASYMPTOTIC_CUTOFF
+    out[big] = limit(x[big])
+    if not np.all(big):
+        vals = g(_gauss_args(x[~big], rule)) @ rule.weights
+        out[~big] = vals if cap is None else np.minimum(vals, cap)
+    return float(out[0]) if scalar else out
+
+
+def _sech4(y):
+    t = np.tanh(y)
+    return (1.0 - t * t) ** 2
+
+
 def psi(x, rule: QuadratureRule | None = None):
     """One-body pressure psi(x) = E[log 2 cosh(z sqrt(x) + x)], x >= 0.
 
     Increasing and convex, psi(0) = log 2.  For x above
     ``ASYMPTOTIC_CUTOFF`` returns x, exact to below double precision.
     """
-    rule = rule or default_rule()
-    x = _clamped(x, "x")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    big = x > ASYMPTOTIC_CUTOFF
-    out[big] = x[big]
-    if np.any(~big):
-        out[~big] = log2cosh(_gauss_args(x[~big], rule)) @ rule.weights
-    return float(out[0]) if scalar else out
+    return _expect(log2cosh, x, rule, "x", limit=lambda x: x)
 
 
 def big_f(h, rule: QuadratureRule | None = None):
@@ -147,17 +162,7 @@ def big_f(h, rule: QuadratureRule | None = None):
     The return value is capped at the largest double below 1 so that the
     consistency map stays inside [0, 1).
     """
-    rule = rule or default_rule()
-    h = _clamped(h, "h")
-    scalar = h.ndim == 0
-    h = np.atleast_1d(h)
-    out = np.empty_like(h)
-    big = h > ASYMPTOTIC_CUTOFF
-    out[big] = F_MAX
-    if np.any(~big):
-        vals = np.tanh(_gauss_args(h[~big], rule)) @ rule.weights
-        out[~big] = np.minimum(vals, F_MAX)
-    return float(out[0]) if scalar else out
+    return _expect(np.tanh, h, rule, "h", limit=lambda h: F_MAX, cap=F_MAX)
 
 
 def big_f_prime(h, rule: QuadratureRule | None = None):
@@ -166,16 +171,7 @@ def big_f_prime(h, rule: QuadratureRule | None = None):
     The integrand is computed as (1 - tanh^2)^2, which underflows gracefully
     instead of overflowing like 1/cosh^4.
     """
-    rule = rule or default_rule()
-    h = _clamped(h, "h")
-    scalar = h.ndim == 0
-    h = np.atleast_1d(h)
-    out = np.zeros_like(h)
-    big = h > ASYMPTOTIC_CUTOFF
-    if np.any(~big):
-        t = np.tanh(_gauss_args(h[~big], rule))
-        out[~big] = (1.0 - t * t) ** 2 @ rule.weights
-    return float(out[0]) if scalar else out
+    return _expect(_sech4, h, rule, "h", limit=lambda h: 0.0)
 
 
 def big_f_inverse(y, rule: QuadratureRule | None = None):

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 
-from .model import ModelSpec, build_effective, decouple, spectral_radius_oo
+from .model import Chain, ModelSpec, build_effective, decouple, spectral_radius_oo
 from .special_functions import (
     NEG_CLAMP,
     QuadratureRule,
@@ -131,34 +131,14 @@ class AuxiliaryChain:
     theta: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# chain-level helpers (operate on raw (alpha, mu, h) arrays so that decoupled
-# sub-chains, whose alpha do not sum to 1, can reuse them)
-# ---------------------------------------------------------------------------
-
-
-def _chain_m(alpha: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    k = len(alpha)
-    m = np.zeros((k, k))
-    idx = np.arange(k - 1)
-    m[idx, idx + 1] = mu * alpha[1:]
-    m[idx + 1, idx] = mu * alpha[:-1]
-    return m
-
-
-def _chain_delta_pairs(alpha: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return alpha[:-1] * mu * alpha[1:]
-
-
-def _p_var_core(x, alpha, mu, h, rule) -> float:
-    m = _chain_m(alpha, mu)
-    args = m @ x + h
+def _p_var_core(x, chain: Chain, rule) -> float:
+    args = chain.m @ x + chain.h
     if np.any(args < -NEG_CLAMP):
         raise ValueError("(M x)_r + h_r must be nonnegative")
     args = np.maximum(args, 0.0)
-    body = float(alpha @ psi(args, rule))
+    body = float(chain.alpha @ psi(args, rule))
     pair = (1.0 - x[:-1]) * (1.0 - x[1:]) - 2.0 * x[:-1] * x[1:]
-    return body + 0.5 * float(_chain_delta_pairs(alpha, mu) @ pair)
+    return body + 0.5 * float(chain.delta_pairs @ pair)
 
 
 def _validate_x(x, k: int) -> np.ndarray:
@@ -178,7 +158,7 @@ def _validate_x(x, k: int) -> np.ndarray:
 def p_var(x, spec: ModelSpec, rule: QuadratureRule | None = None) -> float:
     """Variational pressure at order parameter x in [0, 1)^K."""
     x = _validate_x(x, spec.k)
-    return _p_var_core(x, spec.alpha, spec.mu, spec.h, rule or default_rule())
+    return _p_var_core(x, build_effective(spec), rule or default_rule())
 
 
 def grad_p_var(x, spec: ModelSpec, rule: QuadratureRule | None = None) -> np.ndarray:
@@ -198,10 +178,10 @@ def consistency_map(x, spec: ModelSpec, rule: QuadratureRule | None = None) -> n
     return big_f(np.maximum(em.m @ x + spec.h, 0.0), rule)
 
 
-def _classify(x: np.ndarray, spec: ModelSpec, rho: float) -> Phase:
-    if np.any(spec.h > 0.0):
+def _classify(x: np.ndarray, chain: Chain) -> Phase:
+    if np.any(chain.h > 0.0):
         return Phase.FIELD_DRIVEN
-    if abs(rho - 1.0) < CRITICAL_WINDOW:
+    if abs(spectral_radius_oo(chain) - 1.0) < CRITICAL_WINDOW:
         return Phase.UNRESOLVED
     if np.max(x) < ZERO_X_TOL:
         return Phase.ZERO_SOLUTION
@@ -210,18 +190,17 @@ def _classify(x: np.ndarray, spec: ModelSpec, rho: float) -> Phase:
     return Phase.UNRESOLVED  # mixed components: decoupled sub-chains disagree
 
 
-def _finish(x: np.ndarray, spec: ModelSpec, method: Method, iterations: int,
+def _finish(x: np.ndarray, chain: Chain, method: Method, iterations: int,
             converged: bool, rule: QuadratureRule) -> VariationalSolution:
-    em = build_effective(spec)
-    t = big_f(np.maximum(em.m @ x + spec.h, 0.0), rule)
+    t = big_f(np.maximum(chain.m @ x + chain.h, 0.0), rule)
     residual = float(np.max(np.abs(t - x)))
-    grad = 0.5 * em.delta @ (t - x)
+    grad = 0.5 * chain.delta @ (t - x)
     return VariationalSolution(
         x_bar=x,
-        pressure=_p_var_core(x, spec.alpha, spec.mu, spec.h, rule),
+        pressure=_p_var_core(x, chain, rule),
         gradient_norm=float(np.max(np.abs(grad))),
         residual=residual,
-        phase=_classify(x, spec, spectral_radius_oo(em)),
+        phase=_classify(x, chain),
         method=method,
         iterations=iterations,
         converged=converged,
@@ -263,7 +242,7 @@ def solve_fixed_point(spec: ModelSpec, init=None, damping: float = 0.5,
             gamma *= 0.5
         x = (1.0 - gamma) * x + gamma * t
         prev_res = res
-    return _finish(x, spec, Method.FIXED_POINT, it, converged, rule)
+    return _finish(x, em, Method.FIXED_POINT, it, converged, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -272,50 +251,36 @@ def solve_fixed_point(spec: ModelSpec, init=None, damping: float = 0.5,
 
 
 class _PiChain:
-    """Parity-split views of one irreducible even-length chain."""
+    """The pi machinery on one irreducible even-length chain."""
 
-    def __init__(self, alpha, mu, h, rule):
-        k = len(alpha)
-        if k % 2 != 0:
+    def __init__(self, chain: Chain, rule):
+        if chain.k % 2 != 0:
             raise ValueError("the pi machinery requires an even number of layers")
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.mu = np.asarray(mu, dtype=float)
-        self.h = np.asarray(h, dtype=float)
-        self.rule = rule
-        self.k = k
-        m = _chain_m(self.alpha, self.mu)
-        odd = np.arange(0, k, 2)
-        even = np.arange(1, k, 2)
-        self.m_oe = m[np.ix_(odd, even)]  # lower bidiagonal
-        self.m_eo = m[np.ix_(even, odd)]  # upper bidiagonal
-        self.alpha_o = self.alpha[odd]
-        self.alpha_e = self.alpha[even]
-        self.h_o = self.h[odd]
-        self.h_e = self.h[even]
-        if np.any(np.diag(self.m_oe) == 0.0):
+        if np.any(np.diag(chain.m_oe) == 0.0):
             raise ValueError(
                 "M^(oe) is singular (some mu_{r,r+1} or alpha_r is zero); "
                 "split the chain with model.decouple first"
             )
+        self.c = chain
+        self.rule = rule
 
     def x_even_inf(self, x_o: np.ndarray) -> np.ndarray:
         """Closed-form inner minimizer: M^(oe) x_e = F^{-1}(x_o) - h_o."""
-        rhs = big_f_inverse(x_o, self.rule) - self.h_o
-        return solve_triangular(self.m_oe, rhs, lower=True)
+        rhs = big_f_inverse(x_o, self.rule) - self.c.h_o
+        return solve_triangular(self.c.m_oe, rhs, lower=True)
 
     def value(self, x_o: np.ndarray) -> float:
         x = self.assemble(x_o, self.x_even_inf(x_o))
-        return _p_var_core(x, self.alpha, self.mu, self.h, self.rule)
+        return _p_var_core(x, self.c, self.rule)
 
     def grad(self, x_o: np.ndarray) -> np.ndarray:
-        inner = big_f(np.maximum(self.m_eo @ x_o + self.h_e, 0.0), self.rule)
-        return 0.5 * self.alpha_o * (
-            -big_f_inverse(x_o, self.rule) + self.h_o + self.m_oe @ inner
-        )
+        c = self.c
+        inner = big_f(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
+        return 0.5 * c.alpha_o * (-big_f_inverse(x_o, self.rule) + c.h_o + c.m_oe @ inner)
 
     def hessian(self, x_o: np.ndarray) -> np.ndarray:
         d_oo, core = self._hessian_parts(x_o)
-        return 0.5 * (self.alpha_o / d_oo)[:, None] * core
+        return 0.5 * (self.c.alpha_o / d_oo)[:, None] * core
 
     def hessian_symmetrized(self, x_o: np.ndarray) -> np.ndarray:
         """Congruent symmetric form sharing the Hessian's eigenvalue signs.
@@ -324,35 +289,37 @@ class _PiChain:
         symmetric because Delta^(oe) transposes onto Delta^(eo), and its
         spectrum equals that of [(D M)^2]^(oo).
         """
+        c = self.c
         d_oo, _ = self._hessian_parts(x_o)
-        d_ee = big_f_prime(np.maximum(self.m_eo @ x_o + self.h_e, 0.0), self.rule)
+        d_ee = big_f_prime(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
         s = (
-            np.sqrt(d_oo * self.alpha_o)[:, None]
-            * self.m_oe
+            np.sqrt(d_oo * c.alpha_o)[:, None]
+            * c.m_oe
             * d_ee[None, :]
-            @ self.m_eo
-            * np.sqrt(d_oo / self.alpha_o)[None, :]
+            @ c.m_eo
+            * np.sqrt(d_oo / c.alpha_o)[None, :]
         )
-        c = np.sqrt(self.alpha_o / d_oo)
-        return 0.5 * c[:, None] * (-np.eye(len(x_o)) + s) * c[None, :]
+        scale = np.sqrt(c.alpha_o / d_oo)
+        return 0.5 * scale[:, None] * (-np.eye(len(x_o)) + s) * scale[None, :]
 
     def _hessian_parts(self, x_o):
         # D^(oo) is evaluated at the inner minimizer, where the odd
         # arguments of F' collapse to F^{-1}(x_o).
+        c = self.c
         d_oo = big_f_prime(big_f_inverse(x_o, self.rule), self.rule)
-        d_ee = big_f_prime(np.maximum(self.m_eo @ x_o + self.h_e, 0.0), self.rule)
-        core = -np.eye(len(x_o)) + (d_oo[:, None] * self.m_oe) @ (d_ee[:, None] * self.m_eo)
+        d_ee = big_f_prime(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
+        core = -np.eye(len(x_o)) + (d_oo[:, None] * c.m_oe) @ (d_ee[:, None] * c.m_eo)
         return d_oo, core
 
     def assemble(self, x_o: np.ndarray, x_e: np.ndarray) -> np.ndarray:
-        x = np.empty(self.k)
+        x = np.empty(self.c.k)
         x[0::2] = x_o
         x[1::2] = x_e
         return x
 
 
 def _pi_chain(spec: ModelSpec, rule) -> _PiChain:
-    return _PiChain(spec.alpha, spec.mu, spec.h, rule or default_rule())
+    return _PiChain(build_effective(spec), rule or default_rule())
 
 
 def _validate_x_odd(x_o, k: int) -> np.ndarray:
@@ -403,25 +370,24 @@ def hessian_pi_symmetrized(x_o, spec: ModelSpec,
 # ---------------------------------------------------------------------------
 
 
-def _pi_ascent_core(alpha, mu, h, tol, max_iter, rule):
+def _pi_ascent_core(chain: Chain, tol, max_iter, rule):
     """Projected Barzilai-Borwein ascent with Armijo backtracking on pi.
 
     Iterates live in [0, X_UPPER]^(K/2).  Convergence is declared on the
     consistency residual of the reconstructed full order parameter, the
     same metric the fixed-point solver uses.
     """
-    chain = _PiChain(alpha, mu, h, rule)
-    m = _chain_m(chain.alpha, chain.mu)
+    pi = _PiChain(chain, rule)
 
     def full_residual(x_o):
         x_e = big_f(np.maximum(chain.m_eo @ x_o + chain.h_e, 0.0), rule)
-        x = chain.assemble(x_o, x_e)
-        t = big_f(np.maximum(m @ x + chain.h, 0.0), rule)
+        x = pi.assemble(x_o, x_e)
+        t = big_f(np.maximum(chain.m @ x + chain.h, 0.0), rule)
         return x, float(np.max(np.abs(t - x)))
 
     x = np.full(chain.k // 2, 0.9)
-    f = chain.value(x)
-    g = chain.grad(x)
+    f = pi.value(x)
+    g = pi.grad(x)
     step = 1.0
     converged = False
     it = 0
@@ -438,7 +404,7 @@ def _pi_ascent_core(alpha, mu, h, tol, max_iter, rule):
             dx = cand - x
             if not np.any(dx):
                 break
-            f_cand = chain.value(cand)
+            f_cand = pi.value(cand)
             if f_cand >= f + 1e-4 * float(g @ dx):
                 accepted = True
                 break
@@ -455,13 +421,13 @@ def _pi_ascent_core(alpha, mu, h, tol, max_iter, rule):
                     break
                 if full_residual(cand)[1] < res:
                     accepted = True
-                    f_cand = chain.value(cand)
+                    f_cand = pi.value(cand)
                     break
                 s *= 0.5
             if not accepted:
                 converged = res < max(tol, 1e2 * np.finfo(float).eps)
                 break
-        g_new = chain.grad(cand)
+        g_new = pi.grad(cand)
         dg = g_new - g
         denom = abs(float(dx @ dg))
         step = min(max(float(dx @ dx) / denom, 1e-8), 1e8) if denom > 0 else 1.0
@@ -611,10 +577,11 @@ def _check_nested_preconditions(spec: ModelSpec, max_k: int):
 
 def _solve_by_segments(spec: ModelSpec, core, rule, method: Method,
                        even_only: bool) -> VariationalSolution:
+    chain = build_effective(spec)
     segments = decouple(spec)
     if len(segments) == 1 and segments[0] == (0, spec.k):
-        x, iterations, converged = core(spec.alpha, spec.mu, spec.h)
-        return _finish(x, spec, method, iterations, converged, rule)
+        x, iterations, converged = core(chain)
+        return _finish(x, chain, method, iterations, converged, rule)
 
     # reducible chain: solve each positive segment independently, then fill
     # zero-alpha layers from the consistency equation (they do not act back)
@@ -632,18 +599,17 @@ def _solve_by_segments(spec: ModelSpec, core, rule, method: Method,
                 "the pi machinery needs even segments (use solve_fixed_point)"
             )
         seg_x, seg_it, seg_conv = core(
-            spec.alpha[start:stop], spec.mu[start:stop - 1], spec.h[start:stop]
+            Chain(spec.alpha[start:stop], spec.mu[start:stop - 1], spec.h[start:stop])
         )
         x[start:stop] = seg_x
         iterations += seg_it
         converged = converged and seg_conv
-    em = build_effective(spec)
     zero_layers = np.flatnonzero(spec.alpha == 0.0)
     if zero_layers.size:
         x[zero_layers] = big_f(
-            np.maximum((em.m @ x + spec.h)[zero_layers], 0.0), rule
+            np.maximum((chain.m @ x + chain.h)[zero_layers], 0.0), rule
         )
-    return _finish(x, spec, method, iterations, converged, rule)
+    return _finish(x, chain, method, iterations, converged, rule)
 
 
 def solve_pi_ascent(spec: ModelSpec, tol: float = 1e-10, max_iter: int = 50_000,
@@ -658,8 +624,8 @@ def solve_pi_ascent(spec: ModelSpec, tol: float = 1e-10, max_iter: int = 50_000,
         raise ValueError("solve_pi_ascent requires an even number of layers")
     rule = rule or default_rule()
 
-    def core(alpha, mu, h):
-        return _pi_ascent_core(alpha, mu, h, tol, max_iter, rule)
+    def core(chain):
+        return _pi_ascent_core(chain, tol, max_iter, rule)
 
     return _solve_by_segments(spec, core, rule, Method.PI_ASCENT, even_only=True)
 
@@ -675,8 +641,8 @@ def solve_nested_bisection(spec: ModelSpec, tol: float = 1e-10, max_k: int = 6,
     _check_nested_preconditions(spec, max_k)
     rule = rule or default_rule()
 
-    def core(alpha, mu, h):
-        x, _, _, evals = _nested_core(alpha, mu, h, rule)
+    def core(chain):
+        x, _, _, evals = _nested_core(chain.alpha, chain.mu, chain.h, rule)
         return x, evals, True
 
     solution = _solve_by_segments(spec, core, rule, Method.NESTED_BISECTION,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from . import variational as var
-from .model import ModelSpec, build_effective, odd_even_split, spectral_radius_oo
+from .model import ModelSpec, build_effective, odd_even_split, rho_oo, spectral_radius_oo
 from .special_functions import (
     big_f,
     big_f_inverse,
@@ -136,12 +136,9 @@ def check_rho_reversal_invariance():
 def check_subcritical_simplex():
     # every mu_{r,r+1} < 2 forces rho < 1 for any alpha on the simplex
     rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(5):
-        mu = rng.uniform(0.1, 1.999, size=3)
-        for counts in phase_mod._simplex_grid(4, 8):
-            alpha = np.array(counts, dtype=float) / 8.0
-            worst = max(worst, phase_mod._rho_exact(alpha, mu))
+    grid = phase_mod._simplex_grid_array(4, 8)
+    worst = max(float(rho_oo(grid, rng.uniform(0.1, 1.999, size=3)).max())
+                for _ in range(5))
     return worst < 1.0, f"max rho over subcritical simplex grid {worst:.6f}"
 
 

@@ -1,0 +1,95 @@
+"""Property tests of the chain record and its exact spectral radius.
+
+Random chains have K = 2..8 layers; form factors and couplings may vanish,
+which makes the odd-odd block of M^2 reducible.  Dense ``eigvals`` of the
+non-symmetric block is the reference the exact route is checked against.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nishimori_dbm.model import (
+    Chain,
+    m_squared_oo,
+    odd_even_split,
+    perron_vector,
+    rho_oo,
+    spectral_radius_oo,
+)
+from nishimori_dbm.phase import _simplex_grid_array
+
+# A reducible K = 5 chain on which a residual-stopped power iteration is
+# 3.4e-10 (relative) off the dense radius.
+PINNED = Chain(
+    np.array([0.0263, 0.3669, 0.0, 0.597, 0.0097]) / 0.9999,
+    np.array([1.0077, 2.3683, 3.0686, 1.261]),
+    np.zeros(5),
+)
+
+PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def chains(draw, allow_zeros=True):
+    k = draw(st.integers(2, 8))
+    weight = st.floats(1e-3, 1.0)
+    coupling = st.floats(0.05, 4.0)
+    if allow_zeros:
+        weight = st.one_of(st.just(0.0), weight)
+        coupling = st.one_of(st.just(0.0), coupling)
+    alpha = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+    if not alpha.any():
+        alpha[draw(st.integers(0, k - 1))] = 1.0
+    mu = np.array(draw(st.lists(coupling, min_size=k - 1, max_size=k - 1)))
+    return Chain(alpha / alpha.sum(), mu, np.zeros(k))
+
+
+def dense_radius(block: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(block))))
+
+
+@PROPERTIES
+@given(chains())
+@example(PINNED)
+def test_rho_matches_dense_eigvals(chain):
+    rho = spectral_radius_oo(chain)
+    dense = dense_radius(m_squared_oo(chain))
+    assert abs(rho - dense) <= 1e-12 * dense
+
+
+@PROPERTIES
+@given(chains())
+@example(PINNED)
+def test_rho_oo_equals_rho_ee(chain):
+    rho = spectral_radius_oo(chain)
+    rho_ee = dense_radius(odd_even_split(chain.m @ chain.m).ee)
+    assert abs(rho - rho_ee) <= 1e-12 * rho_ee
+
+
+@PROPERTIES
+@given(chains())
+@example(PINNED)
+def test_rho_unchanged_by_reversal(chain):
+    rev = Chain(chain.alpha[::-1], chain.mu[::-1], chain.h[::-1])
+    rho = spectral_radius_oo(chain)
+    assert abs(spectral_radius_oo(rev) - rho) <= 1e-12 * rho
+
+
+@PROPERTIES
+@given(chains())
+@example(PINNED)
+def test_batched_grid_equals_per_row(chain):
+    grid = _simplex_grid_array(chain.k, 4)
+    batched = rho_oo(grid, chain.mu)
+    per_row = [spectral_radius_oo(Chain(row, chain.mu, np.zeros(chain.k))) for row in grid]
+    np.testing.assert_array_equal(batched, per_row)
+
+
+@PROPERTIES
+@given(chains(allow_zeros=False))
+def test_perron_vector_positive_eigenvector(chain):
+    v = perron_vector(chain)
+    rho = spectral_radius_oo(chain)
+    assert np.all(v > 0.0)
+    assert np.max(np.abs(m_squared_oo(chain) @ v - rho * v)) <= 1e-12 * rho

@@ -39,6 +39,21 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["alpha", "mu", "h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        kwargs = {"k": 2, "alpha": [0.5, 0.5], "mu": [1.0], "h": [0.0, 0.0]}
+        kwargs[field] = [bad] + kwargs[field][1:]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelSpec(**kwargs)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0, "2", True])
+    def test_non_integer_k_rejected(self, k):
+        data = {"K": k, "alpha": [0.5, 0.5], "mu": [1.0], "h": [0.0, 0.0]}
+        with pytest.raises(ValueError, match="integer"):
+            ModelSpec.from_dict(data)
+        assert ModelSpec.from_dict({**data, "K": np.int64(2)}).k == 2
+
     def test_dict_round_trip(self):
         spec = ModelSpec(k=2, alpha=[0.4, 0.6], mu=[2.5], h=[0.1, 0.2])
         again = ModelSpec.from_dict(spec.to_dict())
