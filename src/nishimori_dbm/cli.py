@@ -42,7 +42,7 @@ TOP_LEVEL_KEYS = {
 }
 
 COMMAND_DEFAULTS = {
-    "solve": {"method": "all", "tol": 1e-10, "damping": 0.5, "max_iter": 200000},
+    "solve": {"method": "all", "tol": 1e-10, "max_iter": 200000},
     "phase_scan": {"axis": "mu_edge", "edge": 1, "grid": None, "tol": 1e-9},
     "optimize_alpha": {"mu": None, "grid_step": 0.025},
     "simulate": {"N": 200, "n_disorder": 20, "sweeps": 2000, "burn_in": 400,
@@ -187,8 +187,7 @@ def cmd_solve(args) -> int:
     _echo({"command": "solve", "model": spec.to_dict(), "solve": block})
     methods = {
         "fixed_point": lambda: solve_fixed_point(
-            spec, tol=block["tol"], damping=block["damping"],
-            max_iter=int(block["max_iter"]), rule=rule),
+            spec, tol=block["tol"], max_iter=int(block["max_iter"]), rule=rule),
         "pi_ascent": lambda: solve_pi_ascent(spec, tol=block["tol"], rule=rule),
         "nested_bisection": lambda: solve_nested_bisection(spec, rule=rule),
     }

@@ -15,7 +15,6 @@ maximal edges.
 from __future__ import annotations
 
 import functools
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,6 +37,12 @@ __all__ = [
 ]
 
 SCAN_AXES = ("mu_edge", "alpha_simplex", "h_uniform")
+
+# A Nelder-Mead candidate replaces the grid optimum only if its rho is
+# larger by more than this many units in the last place of the grid rho;
+# smaller gains are rounding noise, and on flat families of maximizers
+# taking them would pick alpha* by that noise.
+REFINE_MIN_GAIN_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -156,15 +161,25 @@ def write_scan_csv(points: list[PhasePoint], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _simplex_grid(k: int, steps: int):
-    for bars in itertools.combinations(range(steps + k - 1), k - 1):
-        edges = (-1,) + bars + (steps + k - 1,)
-        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(k))
-
-
 @functools.lru_cache(maxsize=8)
 def _simplex_grid_array(k: int, steps: int) -> np.ndarray:
-    grid = np.array(list(_simplex_grid(k, steps)), dtype=float) / steps
+    """Every alpha with entries in {0, 1/steps, ..., 1} summing to 1.
+
+    Rows are in ascending lexicographic order of the integer counts, the
+    order in which ``itertools.combinations`` places the bars of the
+    stars-and-bars construction, so argmax ties break on the first row.
+    Built one column at a time: each partial row is repeated once for
+    every value 0..remainder its next entry can take.
+    """
+    counts = np.zeros((1, 0), dtype=np.int64)
+    remainder = np.array([steps], dtype=np.int64)
+    for _ in range(k - 1):
+        repeats = remainder + 1
+        parent = np.repeat(np.arange(len(remainder)), repeats)
+        nxt = np.arange(parent.size) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+        counts = np.column_stack([counts[parent], nxt])
+        remainder = remainder[parent] - nxt
+    grid = np.column_stack([counts, remainder]) / steps
     grid.flags.writeable = False
     return grid
 
@@ -206,7 +221,7 @@ def optimize_form_factors(mu, grid_step: float = 1.0 / 40.0,
         )
         candidate = _project_simplex(result.x)
         cand_rho = float(rho_oo(candidate, mu))
-        if cand_rho > best_rho:
+        if cand_rho - best_rho > REFINE_MIN_GAIN_ULPS * np.spacing(best_rho):
             alpha, best_rho = candidate, cand_rho
     return alpha.copy(), float(best_rho)
 

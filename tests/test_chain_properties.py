@@ -1,8 +1,10 @@
-"""Property tests of the chain record and its exact spectral radius.
+"""Property tests of the chain record, its exact spectral radius and the
+solvers built on it.
 
 Random chains have K = 2..8 layers; form factors and couplings may vanish,
 which makes the odd-odd block of M^2 reducible.  Dense ``eigvals`` of the
 non-symmetric block is the reference the exact route is checked against.
+The solver properties run on machines with K = 2..5 layers and h > 0.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from nishimori_dbm.model import (
     Chain,
+    ModelSpec,
+    build_effective,
     m_squared_oo,
     odd_even_split,
     perron_vector,
@@ -18,6 +22,8 @@ from nishimori_dbm.model import (
     spectral_radius_oo,
 )
 from nishimori_dbm.phase import _simplex_grid_array
+from nishimori_dbm.special_functions import nishimori_residual
+from nishimori_dbm.variational import solve_fixed_point, solve_pi_ascent
 
 # A reducible K = 5 chain on which a residual-stopped power iteration is
 # 3.4e-10 (relative) off the dense radius.
@@ -28,11 +34,12 @@ PINNED = Chain(
 )
 
 PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True)
+SOLVER_PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
-def chains(draw, allow_zeros=True):
-    k = draw(st.integers(2, 8))
+def chains(draw, allow_zeros=True, k=None):
+    k = draw(st.integers(2, 8)) if k is None else k
     weight = st.floats(1e-3, 1.0)
     coupling = st.floats(0.05, 4.0)
     if allow_zeros:
@@ -43,6 +50,15 @@ def chains(draw, allow_zeros=True):
         alpha[draw(st.integers(0, k - 1))] = 1.0
     mu = np.array(draw(st.lists(coupling, min_size=k - 1, max_size=k - 1)))
     return Chain(alpha / alpha.sum(), mu, np.zeros(k))
+
+
+@st.composite
+def fielded_specs(draw, allow_zeros=True, even=False):
+    """Machines with K = 2..5 layers (2 or 4 if ``even``) and every h_r > 0."""
+    k = draw(st.sampled_from([2, 4] if even else [2, 3, 4, 5]))
+    chain = draw(chains(allow_zeros=allow_zeros, k=k))
+    h = draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))
+    return ModelSpec(k=k, alpha=chain.alpha, mu=chain.mu, h=h)
 
 
 def dense_radius(block: np.ndarray) -> float:
@@ -93,3 +109,29 @@ def test_perron_vector_positive_eigenvector(chain):
     rho = spectral_radius_oo(chain)
     assert np.all(v > 0.0)
     assert np.max(np.abs(m_squared_oo(chain) @ v - rho * v)) <= 1e-12 * rho
+
+
+@SOLVER_PROPERTIES
+@given(fielded_specs(allow_zeros=False, even=True))
+def test_fixed_point_agrees_with_pi_ascent(spec):
+    fp = solve_fixed_point(spec, tol=1e-11)
+    pa = solve_pi_ascent(spec, tol=1e-10)
+    np.testing.assert_allclose(pa.x_bar, fp.x_bar, atol=1e-8, rtol=0)
+
+
+@SOLVER_PROPERTIES
+@given(fielded_specs(), st.floats(1e-3, 1.0))
+def test_fixed_point_monotone_in_uniform_field(spec, increase):
+    tol = 1e-11
+    base = solve_fixed_point(spec, tol=tol).x_bar
+    bumped = solve_fixed_point(spec.with_updates(h=spec.h + increase), tol=tol).x_bar
+    assert np.all(bumped >= base - 2 * tol)
+
+
+@SOLVER_PROPERTIES
+@given(fielded_specs())
+def test_nishimori_residual_small_at_solution_arguments(spec):
+    sol = solve_fixed_point(spec, tol=1e-11)
+    args = np.maximum(build_effective(spec).m @ sol.x_bar + spec.h, 0.0)
+    worst = max(nishimori_residual(a, n) for a in args for n in (1, 2, 3))
+    assert worst < 1e-10

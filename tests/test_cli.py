@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, config validation, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
-from nishimori_dbm.cli import main
+from nishimori_dbm.cli import COMMAND_DEFAULTS, main
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config.example.yaml"
 
 MODEL_SUPER = {"K": 2, "alpha": [0.5, 0.5], "mu": [4.0], "h": [0.0, 0.0]}
 MODEL_SUB = {"K": 2, "alpha": [0.5, 0.5], "mu": [1.0], "h": [0.0, 0.0]}
@@ -61,6 +64,18 @@ class TestSolve:
             "solve": {"method": "fixed_point", "max_iter": 3},
         })
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_shipped_example_config(self, tmp_path):
+        # a key the CLI no longer knows in the example must fail here
+        example = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        for section, block in example.items():
+            if section in COMMAND_DEFAULTS:
+                assert set(block) <= set(COMMAND_DEFAULTS[section]), section
+        assert run(["solve", "--config", str(EXAMPLE_CONFIG), "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "solution.json").read_text())
+        assert set(record["solutions"]) == {"fixed_point", "pi_ascent", "nested_bisection"}
+        assert all(solution["converged"] for solution in record["solutions"].values())
+        assert record["solutions"]["fixed_point"]["error_estimate"] <= 1e-10
 
 
 class TestPhaseScan:

@@ -1,10 +1,13 @@
 """Phase scans, form-factor optimization, and the Perron instability check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from nishimori_dbm.model import ModelSpec
+from nishimori_dbm.model import ModelSpec, rho_oo
 from nishimori_dbm.phase import (
+    _simplex_grid_array,
     format_scan_csv,
     maximizer_conditions,
     optimize_form_factors,
@@ -106,6 +109,35 @@ class TestOptimizeFormFactors:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             optimize_form_factors([0.0, 0.0])
+
+    @pytest.mark.parametrize("mu", [[2.0, 2.0, 1.0], [1.5] * 4])
+    def test_flat_family_keeps_grid_row(self, mu):
+        # Nelder-Mead finds members of the maximizer family whose rho is
+        # larger by one rounding step; they must not displace the grid row
+        grid = _simplex_grid_array(len(mu) + 1, 40)
+        lam = rho_oo(grid, mu)
+        alpha, rho = optimize_form_factors(mu)
+        np.testing.assert_array_equal(alpha, grid[int(np.argmax(lam))])
+        assert rho == lam.max()
+
+    def test_isolated_maximizer_exact(self):
+        alpha, rho = optimize_form_factors([1.0, 3.0])
+        np.testing.assert_array_equal(alpha, [0.0, 0.5, 0.5])
+        assert rho == 2.25
+
+
+def _itertools_simplex_grid(k, steps):
+    """Stars and bars through itertools: the order the grid must keep."""
+    rows = []
+    for bars in itertools.combinations(range(steps + k - 1), k - 1):
+        edges = (-1,) + bars + (steps + k - 1,)
+        rows.append([edges[i + 1] - edges[i] - 1 for i in range(k)])
+    return np.array(rows, dtype=float) / steps
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_simplex_grid_matches_itertools_construction(k):
+    np.testing.assert_array_equal(_simplex_grid_array(k, 40), _itertools_simplex_grid(k, 40))
 
 
 class TestPerronInstabilityCheck:

@@ -177,6 +177,66 @@ class TestSolveFixedPoint:
         assert not sol.converged
         assert sol.residual > 0
 
+    def test_exact_fixed_point_needs_no_step(self):
+        sol = solve_fixed_point(BALANCED_MU4, init=np.zeros(2), tol=1e-10)
+        assert sol.iterations == 1
+        assert sol.residual == 0.0 and sol.error_estimate == 0.0
+        assert sol.converged
+
+    def test_singular_jacobian_reports_infinite_error(self):
+        # at rho = 1 and x = (0, 1e-300), F' rounds to 1 in both layers, so
+        # I - D M is exactly singular while T(x) - x is not zero
+        spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[2.0], h=[0.0, 0.0])
+        sol = solve_fixed_point(spec, init=[0.0, 1e-300], tol=1e-10, max_iter=1)
+        assert sol.error_estimate == np.inf
+        assert not sol.converged
+
+
+class TestNearCriticality:
+    """Balanced K = 2 machine at h = 0, tol = 1e-9, across rho = (mu / 2)^2 = 1.
+
+    Both layers solve x = F(mu x / 2); at mu = 2 the root x = 0 is double and
+    Newton from above slows to rate 1/2.  A residual-based stop would leave
+    x ~ 2e-6 at mu = 1.999 and a 0.4% error at mu = 2.001.
+    """
+
+    TOL = 1e-9
+
+    def solve(self, mu):
+        spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[mu], h=[0.0, 0.0])
+        return solve_fixed_point(spec, tol=self.TOL)
+
+    def test_just_below_is_zero(self):
+        sol = self.solve(1.999)
+        assert sol.phase is Phase.ZERO_SOLUTION
+        assert np.max(sol.x_bar) <= self.TOL
+        assert sol.converged
+
+    def test_at_the_double_root(self):
+        sol = self.solve(2.0)
+        assert np.max(sol.x_bar) <= 10 * self.TOL
+        assert sol.converged
+
+    @pytest.mark.parametrize("mu", [2.001, 2.01])
+    def test_just_above_matches_oracle(self, mu):
+        sol = self.solve(mu)
+        np.testing.assert_allclose(sol.x_bar, scalar_root_quad(mu / 2, 0.0),
+                                   atol=10 * self.TOL, rtol=0)
+        assert sol.phase is Phase.BROKEN_SYMMETRY
+        assert sol.converged
+
+    @pytest.mark.parametrize("mu", [1.999, 2.0, 2.001, 2.01])
+    def test_error_estimate_bounds_half_the_error(self, mu):
+        # the estimate is the next Newton correction: about the error at a
+        # simple root, half of it at the double root mu = 2, where T(x) - x
+        # ~ x^2 ~ 1e-18 carries a relative rounding error of about 1%;
+        # 1e-13 is the agreement between the package's rule and the oracle
+        sol = self.solve(mu)
+        exact = scalar_root_quad(mu / 2, 0.0) if mu > 2.0 else 0.0
+        error = float(np.max(np.abs(sol.x_bar - exact)))
+        assert error <= 2.04 * sol.error_estimate + 1e-13
+        assert sol.error_estimate <= self.TOL
+
 
 class TestPi:
     def test_at_origin(self):
@@ -471,4 +531,5 @@ def test_solution_serialization_round_trip():
     assert record["phase"] == "field_driven"
     assert record["method"] == "fixed_point"
     assert record["converged"] is True
+    assert record["error_estimate"] == sol.error_estimate <= 1e-10
     np.testing.assert_allclose(record["x_bar"], sol.x_bar)
