@@ -1,11 +1,13 @@
 """Three independent routes to the same consistency solution.
 
 With positive external fields the consistency system x_r = F((Mx)_r + h_r)
-has a unique solution.  The package solves it by (i) damped fixed-point
-iteration from above, (ii) gradient ascent on the reduced objective pi
-over the odd components, and (iii) the nested scalar construction that
-peels the chain one ratio variable at a time.  The three agree to solver
-precision, and the auxiliary-chain identities hold at the output.
+has a unique solution.  The package solves it by (i) Newton's method from
+above on the fixed-point equation, (ii) Newton ascent on the reduced
+objective pi over the odd components, and (iii) the nested scalar
+construction that peels the chain one ratio variable at a time.  Each
+reports ``converged`` only when its error estimate is within ``tol``.  The
+three agree to solver precision, and the auxiliary-chain identities hold at
+the output.
 """
 
 import numpy as np

@@ -31,7 +31,12 @@ from .phase import (
 )
 from .simulator import EngineKind, SystemSize, quenched_run, write_report_csv
 from .special_functions import QuadratureRule, nishimori_residual
-from .variational import solve_fixed_point, solve_nested_bisection, solve_pi_ascent
+from .variational import (
+    NESTED_MAX_K,
+    solve_fixed_point,
+    solve_nested_bisection,
+    solve_pi_ascent,
+)
 
 ENV_PREFIX = "DBM_"
 SCHEMA_VERSION = 1
@@ -189,13 +194,14 @@ def cmd_solve(args) -> int:
         "fixed_point": lambda: solve_fixed_point(
             spec, tol=block["tol"], max_iter=int(block["max_iter"]), rule=rule),
         "pi_ascent": lambda: solve_pi_ascent(spec, tol=block["tol"], rule=rule),
-        "nested_bisection": lambda: solve_nested_bisection(spec, rule=rule),
+        "nested_bisection": lambda: solve_nested_bisection(
+            spec, tol=block["tol"], rule=rule),
     }
     if block["method"] == "all":
         selected = ["fixed_point"]
         if spec.k % 2 == 0:
             selected.append("pi_ascent")
-        if np.all(spec.h > 0) and spec.k <= 6:
+        if np.all(spec.h > 0) and spec.k <= NESTED_MAX_K:
             selected.append("nested_bisection")
     elif block["method"] in methods:
         selected = [block["method"]]
@@ -230,11 +236,9 @@ def cmd_phase_scan(args) -> int:
                                                   "axis": args.axis})
     grid = _resolve_grid(block["grid"])
     block["grid"] = grid
-    threads = _threads(args)
-    block["threads"] = threads
     _echo({"command": "phase-scan", "model": spec.to_dict(), "phase_scan": block})
     points = scan(spec, block["axis"], grid, edge=int(block["edge"]),
-                  tol=block["tol"], threads=threads, rule=rule)
+                  tol=block["tol"], rule=rule)
     path = _out_dir(args) / "phase_scan.csv"
     write_scan_csv(points, path)
     print(f"wrote {path} ({len(points)} points)")
@@ -342,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--seed", type=int, help="base seed (64-bit)")
-        p.add_argument("--threads", type=int, help="worker threads for scans/averaging")
+        p.add_argument("--threads", type=int, help="worker threads for simulate and enumerate")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--tol", type=float, help="solver tolerance override")
 

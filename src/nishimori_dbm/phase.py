@@ -15,7 +15,6 @@ maximal edges.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,29 +98,20 @@ def _solve_point(template, axis, value, edge, tol, rule) -> PhasePoint:
 
 
 def scan(spec_template: ModelSpec, axis: str, grid, edge: int = 1,
-         tol: float = 1e-9, threads: int | None = None,
+         tol: float = 1e-9,
          rule: QuadratureRule | None = None) -> list[PhasePoint]:
     """Solve the model along one parameter axis; one PhasePoint per value.
 
     ``axis`` is one of ``mu_edge`` (vary the coupling of the 1-based edge
     ``edge``), ``alpha_simplex`` (grid entries are simplex rows), or
     ``h_uniform`` (uniform field h = c * ones).  Failed points are marked
-    and the scan continues; output order follows the grid regardless of
-    the evaluation order.
+    and the scan continues; output order follows the grid.
     """
     if axis not in SCAN_AXES:
         raise ValueError(f"unknown scan axis {axis!r}; expected one of {SCAN_AXES}")
     if axis == "mu_edge" and not 1 <= edge <= spec_template.k - 1:
         raise ValueError(f"edge must be in [1, {spec_template.k - 1}]")
     rule = rule or default_rule()
-    grid = list(grid)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_solve_point, spec_template, axis, v, edge, tol, rule)
-                for v in grid
-            ]
-            return [f.result() for f in futures]
     return [_solve_point(spec_template, axis, v, edge, tol, rule) for v in grid]
 
 

@@ -14,7 +14,9 @@ and the gradient takes the compact form (Delta / 2)(F(Mx + h) - x).
 Every solution reports, besides the residual |T(x) - x|, the error
 estimate |(I - D M)^{-1}(T(x) - x)| with D = diag F'(Mx + h): the next
 Newton correction, which tracks the distance to the fixed point even near
-rho = 1, where the residual understates it by orders of magnitude.
+rho = 1, where the residual understates it by orders of magnitude.  All
+three solvers report ``converged`` by one rule: their loop stopped and
+this estimate is at most ``tol``.
 
 Three mutually checking solvers are provided:
 
@@ -22,9 +24,11 @@ Three mutually checking solvers are provided:
   concave map T(x) = F(Mx + h), started just below 1 so that the iterates
   decrease monotonically onto the maximal fixed point; it stops once the
   Newton correction is below ``tol``, which from above bounds the error;
-* ``solve_pi_ascent`` (K even) -- projected gradient ascent on the auxiliary
-  function pi(x_o) = inf_{x_e} p_var, whose inner infimum is available in
-  closed form through the triangular block M^(oe);
+* ``solve_pi_ascent`` (K even) -- Newton's method with Armijo backtracking
+  on the auxiliary function pi(x_o) = inf_{x_e} p_var, whose inner infimum
+  is available in closed form through the triangular block M^(oe), and
+  whose gradient and Hessian are closed-form too; it stops on a Newton
+  step, lifted to all layers, below ``tol``;
 * ``solve_nested_bisection`` (all h_r > 0) -- the constructive uniqueness
   scheme: auxiliary ratio variables a_r with alpha_r x_r a_r =
   alpha_{r+1} x_{r+1} reduce the coupled system to nested scalar root
@@ -42,7 +46,7 @@ which (M x)_r = Theta_r(a) x_r holds identically along the chain relation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -88,6 +92,9 @@ CRITICAL_WINDOW = 1e-6
 
 # Components below this threshold count as zero for phase classification.
 ZERO_X_TOL = 1e-6
+
+# Largest K the nested solver accepts; its cost grows exponentially in K.
+NESTED_MAX_K = 6
 
 
 class Phase(enum.Enum):
@@ -217,19 +224,25 @@ def _newton_correction(x: np.ndarray, chain: Chain, rule):
 
 
 def _finish(x: np.ndarray, chain: Chain, method: Method, iterations: int,
-            converged: bool, rule: QuadratureRule) -> VariationalSolution:
+            stopped: bool, tol: float, rule: QuadratureRule) -> VariationalSolution:
+    """Package a solver's output; the one place where ``converged`` is decided.
+
+    A solver has converged when its own loop stopped and the error estimate
+    at the returned x is at most ``tol``.
+    """
     t, correction = _newton_correction(x, chain, rule)
     grad = 0.5 * chain.delta @ (t - x)
+    error_estimate = np.inf if correction is None else float(np.max(np.abs(correction)))
     return VariationalSolution(
         x_bar=x,
         pressure=_p_var_core(x, chain, rule),
         gradient_norm=float(np.max(np.abs(grad))),
         residual=float(np.max(np.abs(t - x))),
-        error_estimate=np.inf if correction is None else float(np.max(np.abs(correction))),
+        error_estimate=error_estimate,
         phase=_classify(x, chain),
         method=method,
         iterations=iterations,
-        converged=converged,
+        converged=stopped and error_estimate <= tol,
     )
 
 
@@ -250,8 +263,7 @@ def solve_fixed_point(spec: ModelSpec, init=None, tol: float = 1e-10,
     smaller fixed point.  Iteration stops once the Newton correction is
     below ``tol`` in max norm: from above, the error left after a step is
     at most that step, even at the double root rho = 1, where convergence
-    slows to rate 1/2.  ``converged`` additionally requires the returned
-    ``error_estimate`` to be at most ``tol``.
+    slows to rate 1/2.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -270,8 +282,7 @@ def solve_fixed_point(spec: ModelSpec, init=None, tol: float = 1e-10,
         if step < tol:
             stopped = True
             break
-    sol = _finish(x, em, Method.FIXED_POINT, it, stopped, rule)
-    return replace(sol, converged=stopped and sol.error_estimate <= tol)
+    return _finish(x, em, Method.FIXED_POINT, it, stopped, tol, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -395,73 +406,53 @@ def hessian_pi_symmetrized(x_o, spec: ModelSpec,
 
 
 # ---------------------------------------------------------------------------
-# solver 2: projected gradient ascent on pi (K even)
+# solver 2: Newton ascent on pi (K even)
 # ---------------------------------------------------------------------------
 
 
 def _pi_ascent_core(chain: Chain, tol, max_iter, rule):
-    """Projected Barzilai-Borwein ascent with Armijo backtracking on pi.
+    """Newton's method on pi with Armijo backtracking (Nocedal and Wright, ch. 3).
 
-    Iterates live in [0, X_UPPER]^(K/2).  Convergence is declared on the
-    consistency residual of the reconstructed full order parameter.
+    Iterates live in [0, X_UPPER]^(K/2).  The direction is p = -H^{-1} g;
+    where the solve fails or p is not an ascent direction (pi is not
+    concave where rho([(D M)^2]^(oo)) >= 1) the gradient g is taken
+    instead.  The loop stops, after taking it, on a full Newton step whose
+    lift (p, D^(ee) M^(eo) p) to all layers is below ``tol`` in max norm;
+    that lift is the fixed point's Newton correction to first order.  The
+    Armijo test allows a few ulps of |pi| for rounding, without which
+    steps on flat maxima near rho = 1 are rejected.
     """
     pi = _PiChain(chain, rule)
-
-    def full_residual(x_o):
-        x_e = big_f(np.maximum(chain.m_eo @ x_o + chain.h_e, 0.0), rule)
-        x = pi.assemble(x_o, x_e)
-        t = big_f(np.maximum(chain.m @ x + chain.h, 0.0), rule)
-        return x, float(np.max(np.abs(t - x)))
-
     x = np.full(chain.k // 2, 0.9)
     f = pi.value(x)
-    g = pi.grad(x)
-    step = 1.0
-    converged = False
+    stopped = False
     it = 0
     for it in range(1, max_iter + 1):
-        x_full, res = full_residual(x)
-        if res < tol:
-            converged = True
-            break
-        accepted = False
-        s = step
-        cand = x
-        for _ in range(70):
-            cand = np.clip(x + s * g, 0.0, X_UPPER)
-            dx = cand - x
-            if not np.any(dx):
+        g = pi.grad(x)
+        try:
+            p = -np.linalg.solve(pi.hessian(x), g)
+        except np.linalg.LinAlgError:
+            p = None
+        if p is not None:
+            d_ee = big_f_prime(np.maximum(chain.m_eo @ x + chain.h_e, 0.0), rule)
+            if max(np.max(np.abs(p)), np.max(np.abs(d_ee * (chain.m_eo @ p)))) < tol:
+                x = np.clip(x + p, 0.0, X_UPPER)
+                stopped = True
                 break
+        d = p if p is not None and float(g @ p) > 0.0 else g
+        slack = 4.0 * np.spacing(abs(f))
+        s = 1.0
+        while True:
+            cand = np.clip(x + s * d, 0.0, X_UPPER)
             f_cand = pi.value(cand)
-            if f_cand >= f + 1e-4 * float(g @ dx):
-                accepted = True
+            if f_cand >= f + 1e-4 * float(g @ (cand - x)) - slack:
                 break
             s *= 0.5
-        if not accepted:
-            # pi differences saturate in floating point near flat maxima;
-            # fall back to accepting steps that shrink the consistency
-            # residual, which stays measurable down to machine precision
-            s = step
-            for _ in range(70):
-                cand = np.clip(x + s * g, 0.0, X_UPPER)
-                dx = cand - x
-                if not np.any(dx):
-                    break
-                if full_residual(cand)[1] < res:
-                    accepted = True
-                    f_cand = pi.value(cand)
-                    break
-                s *= 0.5
-            if not accepted:
-                converged = res < max(tol, 1e2 * np.finfo(float).eps)
-                break
-        g_new = pi.grad(cand)
-        dg = g_new - g
-        denom = abs(float(dx @ dg))
-        step = min(max(float(dx @ dx) / denom, 1e-8), 1e8) if denom > 0 else 1.0
-        x, f, g = cand, f_cand, g_new
-    x_full, _ = full_residual(x)
-    return x_full, it, converged
+        if np.array_equal(cand, x):
+            break  # no representable ascent step is left
+        x, f = cand, f_cand
+    x_e = big_f(np.maximum(chain.m_eo @ x + chain.h_e, 0.0), rule)
+    return pi.assemble(x, x_e), it, stopped
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,7 @@ def _theta_chain(alpha, mu, a) -> np.ndarray:
     return theta
 
 
-def _nested_core(alpha, mu, h, rule, xtol=1e-13):
+def _nested_core(alpha, mu, h, rule):
     """Solve the consistency system by the nested level construction.
 
     Level r (0-based) determines a_r from X_0(a) a_0 ... a_r =
@@ -563,7 +554,7 @@ def _nested_core(alpha, mu, h, rule, xtol=1e-13):
                 lo *= 0.5
                 if lo < 1e-300:
                     raise RuntimeError("bracket shrink failed in nested bisection")
-        root = brentq(gap, lo, hi, xtol=xtol, rtol=4 * np.finfo(float).eps, maxiter=300)
+        root = brentq(gap, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=300)
         if r == 0:
             return [root]
         return cascade(r - 1, root) + [root]
@@ -576,23 +567,24 @@ def _nested_core(alpha, mu, h, rule, xtol=1e-13):
     return x, a, theta, evals
 
 
-def nested_bisection_chain(spec: ModelSpec, rule: QuadratureRule | None = None,
-                           max_k: int = 6) -> tuple[np.ndarray, AuxiliaryChain]:
+def nested_bisection_chain(spec: ModelSpec, rule: QuadratureRule | None = None
+                           ) -> tuple[np.ndarray, AuxiliaryChain]:
     """Run the nested construction on an irreducible spec; return (x, chain).
 
     The output satisfies the ratio relation alpha_r x_r a_r =
     alpha_{r+1} x_{r+1} and the scalar reduction (M x)_r = Theta_r(a) x_r.
     """
-    _check_nested_preconditions(spec, max_k)
+    _check_nested_preconditions(spec)
     rule = rule or default_rule()
     x, a, theta, _ = _nested_core(spec.alpha, spec.mu, spec.h, rule)
     return x, AuxiliaryChain(a=a, theta=theta)
 
 
-def _check_nested_preconditions(spec: ModelSpec, max_k: int):
-    if spec.k > max_k:
+def _check_nested_preconditions(spec: ModelSpec):
+    if spec.k > NESTED_MAX_K:
         raise ValueError(
-            f"nested bisection cost grows exponentially; K={spec.k} exceeds cap {max_k}"
+            "nested bisection cost grows exponentially; "
+            f"K={spec.k} exceeds cap {NESTED_MAX_K}"
         )
     if np.any(spec.h <= 0.0):
         raise ValueError("nested bisection requires h_r > 0 for every layer")
@@ -603,19 +595,19 @@ def _check_nested_preconditions(spec: ModelSpec, max_k: int):
 # ---------------------------------------------------------------------------
 
 
-def _solve_by_segments(spec: ModelSpec, core, rule, method: Method,
+def _solve_by_segments(spec: ModelSpec, core, tol, rule, method: Method,
                        even_only: bool) -> VariationalSolution:
     chain = build_effective(spec)
     segments = decouple(spec)
     if len(segments) == 1 and segments[0] == (0, spec.k):
-        x, iterations, converged = core(chain)
-        return _finish(x, chain, method, iterations, converged, rule)
+        x, iterations, stopped = core(chain)
+        return _finish(x, chain, method, iterations, stopped, tol, rule)
 
     # reducible chain: solve each positive segment independently, then fill
     # zero-alpha layers from the consistency equation (they do not act back)
     x = np.zeros(spec.k)
     iterations = 0
-    converged = True
+    stopped = True
     for start, stop in segments:
         length = stop - start
         if length == 1:
@@ -626,18 +618,18 @@ def _solve_by_segments(spec: ModelSpec, core, rule, method: Method,
                 f"decoupled segment [{start}, {stop}) has odd length; "
                 "the pi machinery needs even segments (use solve_fixed_point)"
             )
-        seg_x, seg_it, seg_conv = core(
+        seg_x, seg_it, seg_stopped = core(
             Chain(spec.alpha[start:stop], spec.mu[start:stop - 1], spec.h[start:stop])
         )
         x[start:stop] = seg_x
         iterations += seg_it
-        converged = converged and seg_conv
+        stopped = stopped and seg_stopped
     zero_layers = np.flatnonzero(spec.alpha == 0.0)
     if zero_layers.size:
         x[zero_layers] = big_f(
             np.maximum((chain.m @ x + chain.h)[zero_layers], 0.0), rule
         )
-    return _finish(x, chain, method, iterations, converged, rule)
+    return _finish(x, chain, method, iterations, stopped, tol, rule)
 
 
 def solve_pi_ascent(spec: ModelSpec, tol: float = 1e-10, max_iter: int = 50_000,
@@ -655,28 +647,25 @@ def solve_pi_ascent(spec: ModelSpec, tol: float = 1e-10, max_iter: int = 50_000,
     def core(chain):
         return _pi_ascent_core(chain, tol, max_iter, rule)
 
-    return _solve_by_segments(spec, core, rule, Method.PI_ASCENT, even_only=True)
+    return _solve_by_segments(spec, core, tol, rule, Method.PI_ASCENT, even_only=True)
 
 
-def solve_nested_bisection(spec: ModelSpec, tol: float = 1e-10, max_k: int = 6,
+def solve_nested_bisection(spec: ModelSpec, tol: float = 1e-10,
                            rule: QuadratureRule | None = None) -> VariationalSolution:
     """Solve the consistency system by the nested level construction.
 
-    Requires all h_r > 0 and K at most ``max_k`` (the cost is exponential
-    in K).  ``tol`` bounds the reported consistency residual; the internal
-    root solves run tighter than any meaningful choice of it.
+    Requires all h_r > 0 and K at most ``NESTED_MAX_K`` (the cost is
+    exponential in K).  The internal root solves run to fixed tolerances,
+    tighter than any meaningful ``tol``; ``tol`` bounds the reported
+    ``error_estimate``, as for the other two solvers, and a solution whose
+    estimate exceeds it is returned with ``converged`` False.
     """
-    _check_nested_preconditions(spec, max_k)
+    _check_nested_preconditions(spec)
     rule = rule or default_rule()
 
     def core(chain):
         x, _, _, evals = _nested_core(chain.alpha, chain.mu, chain.h, rule)
         return x, evals, True
 
-    solution = _solve_by_segments(spec, core, rule, Method.NESTED_BISECTION,
-                                  even_only=False)
-    if solution.residual > tol:
-        raise RuntimeError(
-            f"nested bisection residual {solution.residual:.3e} exceeds tol {tol:.3e}"
-        )
-    return solution
+    return _solve_by_segments(spec, core, tol, rule, Method.NESTED_BISECTION,
+                              even_only=False)

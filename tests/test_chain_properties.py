@@ -117,6 +117,8 @@ def test_fixed_point_agrees_with_pi_ascent(spec):
     fp = solve_fixed_point(spec, tol=1e-11)
     pa = solve_pi_ascent(spec, tol=1e-10)
     np.testing.assert_allclose(pa.x_bar, fp.x_bar, atol=1e-8, rtol=0)
+    assert pa.converged
+    assert pa.error_estimate <= 1e-10
 
 
 @SOLVER_PROPERTIES

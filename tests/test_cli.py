@@ -77,6 +77,16 @@ class TestSolve:
         assert all(solution["converged"] for solution in record["solutions"].values())
         assert record["solutions"]["fixed_point"]["error_estimate"] <= 1e-10
 
+    def test_nested_bisection_honours_tol(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": {"K": 2, "alpha": [0.5, 0.5], "mu": [4.0], "h": [0.1, 0.1]}})
+        args = ["solve", "--config", cfg, "--out", str(tmp_path),
+                "--method", "nested_bisection"]
+        assert run(args + ["--tol", "1e-20"]) == 2
+        record = json.loads((tmp_path / "solution.json").read_text())
+        assert not record["solutions"]["nested_bisection"]["converged"]
+        assert run(args) == 0
+
 
 class TestPhaseScan:
     def test_rho_sign_change_and_determinism(self, tmp_path):
@@ -88,8 +98,7 @@ class TestPhaseScan:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert run(["phase-scan", "--config", cfg, "--out", str(out_a)]) == 0
-        assert run(["phase-scan", "--config", cfg, "--out", str(out_b),
-                    "--threads", "2"]) == 0
+        assert run(["phase-scan", "--config", cfg, "--out", str(out_b)]) == 0
         text_a = (out_a / "phase_scan.csv").read_text()
         assert text_a == (out_b / "phase_scan.csv").read_text()
         rows = [line.split(",") for line in text_a.splitlines()[1:]]
@@ -99,6 +108,13 @@ class TestPhaseScan:
     def test_grid_required(self, tmp_path):
         cfg = write_config(tmp_path, {"model": MODEL_SUB})
         assert run(["phase-scan", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+class TestVerify:
+    def test_all_checks_pass(self, capsys):
+        assert run(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "20/20 checks passed" in out
 
 
 class TestOptimizeAlpha:

@@ -59,8 +59,7 @@ class TestScan:
         grid = np.arange(0.5, 3.0, 0.3)  # avoids the marginal point mu = 2
         a = format_scan_csv(scan(BALANCED_K2, "mu_edge", grid))
         b = format_scan_csv(scan(BALANCED_K2, "mu_edge", grid))
-        c = format_scan_csv(scan(BALANCED_K2, "mu_edge", grid, threads=2))
-        assert a == b == c
+        assert a == b
         path = tmp_path / "scan.csv"
         write_scan_csv(scan(BALANCED_K2, "mu_edge", grid), path)
         assert path.read_text() == a

@@ -238,6 +238,19 @@ class TestNearCriticality:
         assert sol.error_estimate <= self.TOL
 
 
+class TestNearCriticalityPiAscent(TestNearCriticality):
+    """The same checks for Newton ascent on pi; the K = 2 chain is even.
+
+    pi is flat to rounding near rho = 1, so a line search without a
+    rounding allowance, or a stop on a backtracked step, ends far from the
+    fixed point.
+    """
+
+    def solve(self, mu):
+        spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[mu], h=[0.0, 0.0])
+        return solve_pi_ascent(spec, tol=self.TOL)
+
+
 class TestPi:
     def test_at_origin(self):
         assert pi_value(np.array([0.0]), BALANCED_MU4) == pytest.approx(
@@ -425,10 +438,24 @@ class TestSolveNestedBisection:
         rng = np.random.default_rng(14)
         spec = random_spec(rng, 7, h_low=0.1)
         with pytest.raises(ValueError, match="cap"):
-            solve_nested_bisection(spec, max_k=6)
+            solve_nested_bisection(spec)
 
 
 class TestSolverAgreementAndProperties:
+    def test_unreachable_tol_reports_nonconvergence(self):
+        # at tol = 1e-30 only an exact floating-point fixed point would
+        # converge; on this chain every solver ends a few ulps away
+        spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[1.5], h=[0.1, 0.1])
+        solutions = [
+            solve_fixed_point(spec, tol=1e-30, max_iter=50),
+            solve_pi_ascent(spec, tol=1e-30, max_iter=50),
+            solve_nested_bisection(spec, tol=1e-30),
+        ]
+        for sol in solutions:
+            assert not sol.converged, sol.method
+            assert 0.0 < sol.error_estimate < 1e-14
+            np.testing.assert_allclose(sol.x_bar, solutions[0].x_bar, atol=1e-14)
+
     def test_three_solvers_agree(self):
         rng = np.random.default_rng(15)
         for k in (2, 3, 4, 5):
