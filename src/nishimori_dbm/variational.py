@@ -32,7 +32,9 @@ Three mutually checking solvers are provided:
 * ``solve_nested_bisection`` (all h_r > 0) -- the constructive uniqueness
   scheme: auxiliary ratio variables a_r with alpha_r x_r a_r =
   alpha_{r+1} x_{r+1} reduce the coupled system to nested scalar root
-  problems that are solved level by level, the top level at a_K = 0.
+  problems, one per level, the top level at a_K = 0; each level is solved
+  by the secant method in log a_r, warm-started from the last root found
+  at that level and guarded by bisection of its sign bracket.
 
 Note on the auxiliary chain: with the ratio convention above, the
 consistency equation decouples as x_r = F(Theta_r(a) x_r + h_r) with
@@ -46,11 +48,11 @@ which (M x)_r = Theta_r(a) x_r holds identically along the chain relation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import brentq
 
 from .model import Chain, ModelSpec, build_effective, decouple, spectral_radius_oo
 from .special_functions import (
@@ -95,6 +97,10 @@ ZERO_X_TOL = 1e-6
 
 # Largest K the nested solver accepts; its cost grows exponentially in K.
 NESTED_MAX_K = 6
+
+# Bound on |log a_r| in the nested solver's level search: exp(690) < 1.8e308,
+# so no trial ratio overflows.
+LOG_A_MAX = 690.0
 
 
 class Phase(enum.Enum):
@@ -304,23 +310,29 @@ class _PiChain:
         self.c = chain
         self.rule = rule
 
-    def x_even_inf(self, x_o: np.ndarray) -> np.ndarray:
+    # The methods the ascent loop calls take an optional ``finv`` =
+    # F^{-1}(x_o), the costliest kernel call, so that one iterate computes
+    # it once.
+
+    def _finv(self, x_o, finv):
+        return big_f_inverse(x_o, self.rule) if finv is None else finv
+
+    def x_even_inf(self, x_o: np.ndarray, finv=None) -> np.ndarray:
         """Closed-form inner minimizer: M^(oe) x_e = F^{-1}(x_o) - h_o."""
-        rhs = big_f_inverse(x_o, self.rule) - self.c.h_o
+        rhs = self._finv(x_o, finv) - self.c.h_o
         return solve_triangular(self.c.m_oe, rhs, lower=True)
 
-    def value(self, x_o: np.ndarray) -> float:
-        x = self.assemble(x_o, self.x_even_inf(x_o))
+    def value(self, x_o: np.ndarray, finv=None) -> float:
+        x = self.assemble(x_o, self.x_even_inf(x_o, finv))
         return _p_var_core(x, self.c, self.rule)
 
-    def grad(self, x_o: np.ndarray) -> np.ndarray:
+    def grad(self, x_o: np.ndarray, finv=None) -> np.ndarray:
         c = self.c
         inner = big_f(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
-        return 0.5 * c.alpha_o * (-big_f_inverse(x_o, self.rule) + c.h_o + c.m_oe @ inner)
+        return 0.5 * c.alpha_o * (-self._finv(x_o, finv) + c.h_o + c.m_oe @ inner)
 
     def hessian(self, x_o: np.ndarray) -> np.ndarray:
-        d_oo, core = self._hessian_parts(x_o)
-        return 0.5 * (self.c.alpha_o / d_oo)[:, None] * core
+        return self._hessian_parts(x_o)[2]
 
     def hessian_symmetrized(self, x_o: np.ndarray) -> np.ndarray:
         """Congruent symmetric form sharing the Hessian's eigenvalue signs.
@@ -330,8 +342,7 @@ class _PiChain:
         spectrum equals that of [(D M)^2]^(oo).
         """
         c = self.c
-        d_oo, _ = self._hessian_parts(x_o)
-        d_ee = big_f_prime(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
+        d_oo, d_ee, _ = self._hessian_parts(x_o)
         s = (
             np.sqrt(d_oo * c.alpha_o)[:, None]
             * c.m_oe
@@ -342,14 +353,17 @@ class _PiChain:
         scale = np.sqrt(c.alpha_o / d_oo)
         return 0.5 * scale[:, None] * (-np.eye(len(x_o)) + s) * scale[None, :]
 
-    def _hessian_parts(self, x_o):
-        # D^(oo) is evaluated at the inner minimizer, where the odd
-        # arguments of F' collapse to F^{-1}(x_o).
+    def _hessian_parts(self, x_o, finv=None):
+        """(D^(oo), D^(ee), Hessian) at x_o.
+
+        D^(oo) is evaluated at the inner minimizer, where the odd arguments
+        of F' collapse to F^{-1}(x_o).
+        """
         c = self.c
-        d_oo = big_f_prime(big_f_inverse(x_o, self.rule), self.rule)
+        d_oo = big_f_prime(self._finv(x_o, finv), self.rule)
         d_ee = big_f_prime(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
         core = -np.eye(len(x_o)) + (d_oo[:, None] * c.m_oe) @ (d_ee[:, None] * c.m_eo)
-        return d_oo, core
+        return d_oo, d_ee, 0.5 * (c.alpha_o / d_oo)[:, None] * core
 
     def assemble(self, x_o: np.ndarray, x_e: np.ndarray) -> np.ndarray:
         x = np.empty(self.c.k)
@@ -420,21 +434,23 @@ def _pi_ascent_core(chain: Chain, tol, max_iter, rule):
     lift (p, D^(ee) M^(eo) p) to all layers is below ``tol`` in max norm;
     that lift is the fixed point's Newton correction to first order.  The
     Armijo test allows a few ulps of |pi| for rounding, without which
-    steps on flat maxima near rho = 1 are rejected.
+    steps on flat maxima near rho = 1 are rejected.  F^{-1} is computed
+    once per evaluated point and carried with the accepted iterate.
     """
     pi = _PiChain(chain, rule)
     x = np.full(chain.k // 2, 0.9)
-    f = pi.value(x)
+    finv = big_f_inverse(x, rule)
+    f = pi.value(x, finv)
     stopped = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = pi.grad(x)
+        g = pi.grad(x, finv)
+        _, d_ee, hess = pi._hessian_parts(x, finv)
         try:
-            p = -np.linalg.solve(pi.hessian(x), g)
+            p = -np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
             p = None
         if p is not None:
-            d_ee = big_f_prime(np.maximum(chain.m_eo @ x + chain.h_e, 0.0), rule)
             if max(np.max(np.abs(p)), np.max(np.abs(d_ee * (chain.m_eo @ p)))) < tol:
                 x = np.clip(x + p, 0.0, X_UPPER)
                 stopped = True
@@ -444,13 +460,14 @@ def _pi_ascent_core(chain: Chain, tol, max_iter, rule):
         s = 1.0
         while True:
             cand = np.clip(x + s * d, 0.0, X_UPPER)
-            f_cand = pi.value(cand)
+            finv_cand = big_f_inverse(cand, rule)
+            f_cand = pi.value(cand, finv_cand)
             if f_cand >= f + 1e-4 * float(g @ (cand - x)) - slack:
                 break
             s *= 0.5
         if np.array_equal(cand, x):
             break  # no representable ascent step is left
-        x, f = cand, f_cand
+        x, f, finv = cand, f_cand, finv_cand
     x_e = big_f(np.maximum(chain.m_eo @ x + chain.h_e, 0.0), rule)
     return pi.assemble(x, x_e), it, stopped
 
@@ -504,17 +521,82 @@ def _theta_chain(alpha, mu, a) -> np.ndarray:
     return theta
 
 
+def _level_root(gap, u, slope):
+    """Root of an increasing function ``gap`` of u = log a_r; returns (u, slope).
+
+    Secant steps start from ``u``, the first one along ``slope``, the last
+    secant slope found at this level (a unit step towards the root when
+    there is none).  Every evaluation narrows the sign bracket (lo, hi),
+    which starts at -LOG_A_MAX and LOG_A_MAX.  A step that leaves the
+    bracket, or that is larger than half the step before last, is replaced
+    by bisection (Brent 1973, ch. 4), which bounds the number of steps
+    whatever the shape of ``gap``.  The search stops on a bracket or a step
+    below 1e-14 max(1, |u|).  A step that small is tested before the
+    bracket, since it can round away in u; it does not count right after a
+    bisection, whose span says nothing about the slope at u, and is then
+    bisected too.
+    """
+    lo, hi = -LOG_A_MAX, LOG_A_MAX
+    u_prev = g_prev = None
+    last = before_last = hi - lo
+    bisected = False
+    while True:
+        g = gap(u)
+        if g == 0.0:
+            return u, slope
+        if g < 0.0:
+            lo = u
+        else:
+            hi = u
+        tol = 1e-14 * max(1.0, abs(u))
+        if hi - lo < tol:
+            return u, slope
+        if u_prev is None:
+            step = -g / slope if slope else -math.copysign(1.0, g)
+        elif g != g_prev:
+            slope = (g - g_prev) / (u - u_prev)
+            step = -g / slope
+        else:
+            step = math.inf  # flat secant: bisect
+        if abs(step) < tol and not bisected:
+            return u + step, slope
+        bisected = (abs(step) < tol or not lo < u + step < hi
+                    or abs(step) > 0.5 * abs(before_last))
+        if bisected:
+            step = 0.5 * (lo + hi) - u
+            last = before_last = step
+        else:
+            last, before_last = step, last
+        u_prev, g_prev = u, g
+        u += step
+
+
 def _nested_core(alpha, mu, h, rule):
     """Solve the consistency system by the nested level construction.
 
     Level r (0-based) determines a_r from X_0(a) a_0 ... a_r =
     X_{r+1}(1/a_r, a_{r+1}); the left side increases from 0 to infinity in
-    a_r while the right side decreases, so each level is a bracketed
-    monotone root problem.  Levels below r are re-solved for every trial
-    value of a_r, the top level is solved with a_K = 0.
+    a_r while the right side decreases, so each level has one root.  Levels
+    below r are re-solved for every trial value of a_r, the top level is
+    solved with a_K = 0.
+
+    Each level is solved by ``_level_root`` on the log of the ratio of the
+    two sides as a function of u = log a_r.  By the ratio relation the left
+    side is alpha_r x_r a_r at the solution of the levels below, and every
+    x_r lies in [F(h_r), 1), so this log ratio is u plus a bounded term:
+    nearly linear, where the plain difference of the two sides grows
+    exponentially in u and makes secant steps crawl.  A small secant step
+    is then a faithful measure of the distance to the root.  Each level is
+    warm-started from the root and the secant slope last found at that
+    level in this call, since successive trial values of a_{r+1} move its
+    root little.  A level solve takes about 3 evaluations and the cascade
+    about 5^(K-1) in all, where cold bracketed solves of the difference
+    took about 11 per level and 11^(K-1) in all.
     """
     k = len(alpha)
     evals = 0
+    # last (root, slope) of each level, kept for this call only
+    warm = [(0.0, None)] * (k - 1)
 
     def x_scalar(r, theta_r):
         return scalar_solution(theta_r, h[r], rule)
@@ -526,35 +608,24 @@ def _nested_core(alpha, mu, h, rule):
 
     def cascade(r, a_next):
         """Return [a_0, ..., a_r] solving levels 0..r given a_{r+1} = a_next."""
-        nonlocal evals
 
-        def gap(a_r):
+        def gap(u):
+            """log(left side / right side) of level r at a_r = exp(u)."""
             nonlocal evals
             evals += 1
+            a_r = math.exp(u)
             if r == 0:
-                lower = []
                 x0 = x_scalar(0, alpha[0] * mu[0] * a_r)
-                lhs = alpha[0] * x0 * a_r
+                log_lhs = math.log(alpha[0] * x0) + u
             else:
                 lower = cascade(r - 1, a_r)
                 x0 = x_scalar(0, alpha[0] * mu[0] * lower[0])
-                lhs = alpha[0] * x0 * float(np.prod(lower)) * a_r
+                log_lhs = math.log(alpha[0] * x0) + sum(map(math.log, lower)) + u
             rhs = alpha[r + 1] * x_scalar(r + 1, theta_interior(r + 1, a_r, a_next))
-            return lhs - rhs
+            return log_lhs - math.log(rhs)
 
-        lo, hi = 1e-12, 1.0
-        while gap(hi) <= 0.0:
-            lo = hi
-            hi *= 2.0
-            if hi > 2.0**60:
-                raise RuntimeError("bracket expansion failed in nested bisection")
-        if gap(lo) >= 0.0:
-            while gap(lo) >= 0.0:
-                hi = lo
-                lo *= 0.5
-                if lo < 1e-300:
-                    raise RuntimeError("bracket shrink failed in nested bisection")
-        root = brentq(gap, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=300)
+        warm[r] = _level_root(gap, *warm[r])
+        root = math.exp(warm[r][0])
         if r == 0:
             return [root]
         return cascade(r - 1, root) + [root]

@@ -23,7 +23,11 @@ from nishimori_dbm.model import (
 )
 from nishimori_dbm.phase import _simplex_grid_array
 from nishimori_dbm.special_functions import nishimori_residual
-from nishimori_dbm.variational import solve_fixed_point, solve_pi_ascent
+from nishimori_dbm.variational import (
+    solve_fixed_point,
+    solve_nested_bisection,
+    solve_pi_ascent,
+)
 
 # A reducible K = 5 chain on which a residual-stopped power iteration is
 # 3.4e-10 (relative) off the dense radius.
@@ -53,11 +57,12 @@ def chains(draw, allow_zeros=True, k=None):
 
 
 @st.composite
-def fielded_specs(draw, allow_zeros=True, even=False):
-    """Machines with K = 2..5 layers (2 or 4 if ``even``) and every h_r > 0."""
-    k = draw(st.sampled_from([2, 4] if even else [2, 3, 4, 5]))
+def fielded_specs(draw, allow_zeros=True, even=False, k_max=5, h_min=0.01):
+    """Machines with K = 2..k_max layers (even K only if ``even``) and every
+    h_r in [h_min, 2]."""
+    k = draw(st.sampled_from([k for k in range(2, k_max + 1) if not even or k % 2 == 0]))
     chain = draw(chains(allow_zeros=allow_zeros, k=k))
-    h = draw(st.lists(st.floats(0.01, 2.0), min_size=k, max_size=k))
+    h = draw(st.lists(st.floats(h_min, 2.0), min_size=k, max_size=k))
     return ModelSpec(k=k, alpha=chain.alpha, mu=chain.mu, h=h)
 
 
@@ -119,6 +124,15 @@ def test_fixed_point_agrees_with_pi_ascent(spec):
     np.testing.assert_allclose(pa.x_bar, fp.x_bar, atol=1e-8, rtol=0)
     assert pa.converged
     assert pa.error_estimate <= 1e-10
+
+
+@SOLVER_PROPERTIES
+@given(fielded_specs(k_max=4, h_min=1e-3))
+def test_nested_bisection_agrees_with_fixed_point(spec):
+    fp = solve_fixed_point(spec, tol=1e-13)
+    nb = solve_nested_bisection(spec)
+    np.testing.assert_allclose(nb.x_bar, fp.x_bar, atol=1e-10, rtol=0)
+    assert nb.converged
 
 
 @SOLVER_PROPERTIES

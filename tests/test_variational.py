@@ -5,10 +5,13 @@ functional directly from its defining sums with the adaptive-integration
 psi, sharing no code with the package's evaluation path.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from nishimori_dbm.model import ModelSpec, build_effective, spectral_radius_oo
+from nishimori_dbm import variational
 from nishimori_dbm.special_functions import big_f
 from nishimori_dbm.variational import (
     Method,
@@ -58,6 +61,9 @@ def random_spec(rng, k, h_low=0.0, h_high=1.0, mu_high=3.0):
 
 BALANCED_MU4 = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[4.0], h=[0.0, 0.0])
 BALANCED_MU4_H = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[4.0], h=[0.1, 0.1])
+# base K = 4 chain of the solver cross-check benchmark
+BASE_K4_H = ModelSpec(k=4, alpha=[0.3, 0.2, 0.25, 0.25], mu=[2.4, 1.1, 2.9],
+                      h=[0.15, 0.4, 0.05, 0.3])
 
 
 class TestPVar:
@@ -390,6 +396,27 @@ class TestSolvePiAscent:
         with pytest.raises(ValueError, match="even"):
             solve_pi_ascent(spec)
 
+    def test_one_f_inverse_per_evaluated_point(self, monkeypatch):
+        # pi is evaluated once at the start and once per line-search trial;
+        # gradient and Hessian reuse the F^{-1} of the accepted point
+        calls = {"finv": 0, "value": 0}
+        finv, value = variational.big_f_inverse, variational._PiChain.value
+
+        def counted_finv(*args, **kwargs):
+            calls["finv"] += 1
+            return finv(*args, **kwargs)
+
+        def counted_value(*args, **kwargs):
+            calls["value"] += 1
+            return value(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "big_f_inverse", counted_finv)
+        monkeypatch.setattr(variational._PiChain, "value", counted_value)
+        sol = solve_pi_ascent(BASE_K4_H, tol=1e-10)
+        assert sol.converged
+        trials = calls["value"] - 1
+        assert calls["finv"] <= sol.iterations + trials + 1
+
 
 class TestScalarSolution:
     def test_monotone_in_both_arguments(self):
@@ -433,6 +460,43 @@ class TestSolveNestedBisection:
     def test_requires_positive_fields(self):
         with pytest.raises(ValueError, match="h_r > 0"):
             solve_nested_bisection(BALANCED_MU4)
+
+    def test_level_evaluation_budget_k4(self):
+        # level evaluations are deterministic; one cold bracketed root solve
+        # per level took 1,537 on this chain
+        assert solve_nested_bisection(BASE_K4_H).iterations <= 500
+
+    def test_level_evaluation_budget_k5(self):
+        spec = ModelSpec(k=5, alpha=[0.2] * 5, mu=[2.0] * 4, h=[0.05] * 5)
+        nb = solve_nested_bisection(spec)
+        fp = solve_fixed_point(spec, tol=1e-13)
+        assert nb.converged
+        assert nb.iterations <= 4000  # 18,179 with cold bracketed solves
+        np.testing.assert_allclose(nb.x_bar, fp.x_bar, atol=1e-12, rtol=0)
+
+    def test_extreme_ratios_stay_finite(self):
+        # ratios a_r of 35 and 0.03 and fields seven decades apart; the level
+        # search must stay where exp(log a_r) is finite
+        spec = ModelSpec(k=3, alpha=[0.01, 0.98, 0.01], mu=[20.0, 0.05],
+                         h=[1e-5, 0.3, 50.0])
+        nb = solve_nested_bisection(spec)
+        fp = solve_fixed_point(spec, tol=1e-13)
+        assert nb.converged
+        np.testing.assert_allclose(nb.x_bar, fp.x_bar, atol=1e-12, rtol=0)
+
+    def test_level_root_bisects_a_crawling_secant(self):
+        # secant steps on expm1 from above shrink by less than half, so the
+        # search bisects; the secant across that bisection proposes a step
+        # of 1e-15 at u = -326, which must not end the search
+        calls = []
+
+        def gap(u):
+            calls.append(u)
+            return math.expm1(u)
+
+        root, _ = variational._level_root(gap, 40.0, None)
+        assert abs(root) < 1e-12
+        assert len(calls) <= 30
 
     def test_respects_k_cap(self):
         rng = np.random.default_rng(14)
