@@ -43,6 +43,7 @@ from .simulator import (
 from .special_functions import (
     QuadratureRule,
     big_f,
+    big_f_and_prime,
     big_f_inverse,
     big_f_prime,
     default_rule,

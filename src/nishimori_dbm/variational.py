@@ -60,6 +60,7 @@ from .special_functions import (
     NEG_CLAMP,
     QuadratureRule,
     big_f,
+    big_f_and_prime,
     big_f_inverse,
     big_f_prime,
     default_rule,
@@ -217,12 +218,10 @@ def _newton_correction(x: np.ndarray, chain: Chain, rule):
     x + c is the Newton iterate for T(x) = x.  An exact fixed point gives
     c = 0 without a linear solve; a singular I - D M gives c = None.
     """
-    args = np.maximum(chain.m @ x + chain.h, 0.0)
-    t = big_f(args, rule)
+    t, d = big_f_and_prime(np.maximum(chain.m @ x + chain.h, 0.0), rule)
     r = t - x
     if not np.any(r):
         return t, r
-    d = big_f_prime(args, rule)
     try:
         return t, np.linalg.solve(np.eye(chain.k) - d[:, None] * chain.m, r)
     except np.linalg.LinAlgError:
@@ -492,15 +491,15 @@ def scalar_solution(t: float, h: float, rule: QuadratureRule | None = None,
     lo, hi = 0.0, 1.0
     x = big_f(t + h, rule)
     for _ in range(200):
-        arg = max(t * x + h, 0.0)
-        g = big_f(arg, rule) - x
+        f, f_prime = big_f_and_prime(t * x + h, rule)
+        g = f - x
         if abs(g) < tol:
             return x
         if g > 0.0:
             lo = max(lo, x)
         else:
             hi = min(hi, x)
-        gp = t * big_f_prime(arg, rule) - 1.0
+        gp = t * f_prime - 1.0
         x_new = x - g / gp if gp != 0.0 else 0.5 * (lo + hi)
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)

@@ -7,10 +7,14 @@ existed; the live oracle is also consulted where the runtime cost is small.
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm
 
 from nishimori_dbm.special_functions import (
+    F_MAX,
+    PRUNE_RATIO,
     QuadratureRule,
     big_f,
+    big_f_and_prime,
     big_f_inverse,
     big_f_prime,
     default_rule,
@@ -40,6 +44,22 @@ class TestQuadratureRule:
         rule = QuadratureRule.gauss_hermite(64)
         assert rule.order == 64
         assert abs(psi(1.0, rule) - PSI_AT_1) < 1e-8
+
+    def test_default_rule_is_pruned(self):
+        rule = default_rule()
+        assert rule.order == 1600
+        assert rule.nodes.size == 232
+        assert np.all(rule.weights >= PRUNE_RATIO * rule.weights.max())
+        assert np.max(np.abs(rule.nodes)) == pytest.approx(9.0895, abs=1e-4)
+        # the moment checks of __post_init__ ran on the pruned rule; repeat them
+        QuadratureRule(nodes=rule.nodes, weights=rule.weights, order=rule.order)
+
+    def test_pruning_moves_no_expectation(self):
+        nodes, weights = roots_hermitenorm(1600)
+        full = QuadratureRule(nodes=nodes, weights=weights / weights.sum(), order=1600)
+        hs = np.concatenate([[0.0], np.logspace(-6, 2, 33)])
+        for kernel, tol in ((big_f, 1e-16), (big_f_prime, 1e-16), (psi, 4e-16)):
+            np.testing.assert_allclose(kernel(hs), kernel(hs, full), rtol=tol, atol=tol)
 
     def test_rejects_bad_rules(self):
         with pytest.raises(ValueError):
@@ -148,6 +168,77 @@ class TestBigFInverse:
             big_f_inverse(-0.01)
         with pytest.raises(ValueError):
             big_f_inverse(1.0 - 1e-13)
+
+
+# h from 0 through the asymptotic cutoff 1e4 and beyond
+PARITY_GRID = [0.0, 1e-300, *np.logspace(-6, 2, 17).tolist(), 1e4 - 1.0, 1e4 + 1.0, 1e6]
+KERNELS = [psi, big_f, big_f_prime]
+
+
+def close(a, b, rel=4e-16):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+class TestKernelParity:
+    """Float, np.float64 and array arguments give the same values."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda f: f.__name__)
+    def test_scalar_and_array_paths_agree(self, kernel):
+        array = kernel(np.array(PARITY_GRID))
+        for h, a in zip(PARITY_GRID, array):
+            f, f64 = kernel(h), kernel(np.float64(h))
+            assert type(f) is float and type(f64) is float
+            assert f == f64
+            assert close(f, a), (h, f, a)
+
+    def test_fused_equals_separate_kernels(self):
+        for h in PARITY_GRID:
+            f, f_prime = big_f_and_prime(h)
+            assert type(f) is float and type(f_prime) is float
+            assert close(f, big_f(h)) and close(f_prime, big_f_prime(h))
+        f, f_prime = big_f_and_prime(np.array(PARITY_GRID))
+        assert f.shape == f_prime.shape == (len(PARITY_GRID),)
+        for h, fa, fpa in zip(PARITY_GRID, f, f_prime):
+            assert close(fa, big_f(h)) and close(fpa, big_f_prime(h))
+
+    @pytest.mark.parametrize("kernel", KERNELS + [big_f_and_prime],
+                             ids=lambda f: f.__name__)
+    def test_clamp_and_domain_on_both_paths(self, kernel):
+        at_zero = np.array(kernel(0.0))
+        np.testing.assert_array_equal(np.array(kernel(-1e-15)), at_zero)
+        np.testing.assert_array_equal(np.array(kernel(np.array([-1e-15]))).ravel(),
+                                      at_zero.ravel())
+        with pytest.raises(ValueError):
+            kernel(-1e-13)
+        with pytest.raises(ValueError):
+            kernel(np.array([0.5, -1e-13]))
+
+    def test_f_max_cap_on_both_paths(self):
+        array = big_f(np.array(PARITY_GRID))
+        fused = big_f_and_prime(np.array(PARITY_GRID))[0]
+        assert np.all(array <= F_MAX) and np.all(fused <= F_MAX)
+        for h in PARITY_GRID:
+            assert big_f(h) <= F_MAX and big_f_and_prime(h)[0] <= F_MAX
+        assert big_f(1e6) == big_f(1e4 + 1.0) == F_MAX
+        # at 1e4 - 1 every node is saturated and the quadrature sum is 1.0
+        assert big_f(1e4 - 1.0) == big_f(np.array([1e4 - 1.0]))[0] == F_MAX
+
+
+class TestNaNRejected:
+    """NaN raises ValueError on the scalar and the array path of every kernel."""
+
+    NAN_ARGS = [float("nan"), np.float64("nan"), np.array(np.nan), np.array([0.5, np.nan])]
+
+    @pytest.mark.parametrize("kernel", KERNELS + [big_f_and_prime, big_f_inverse],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("arg", NAN_ARGS, ids=["float", "float64", "0-d", "1-d"])
+    def test_raises(self, kernel, arg):
+        with pytest.raises(ValueError):
+            kernel(arg)
+
+    def test_nishimori_residual(self):
+        with pytest.raises(ValueError):
+            nishimori_residual(float("nan"), 1)
 
 
 class TestNishimoriResidual:

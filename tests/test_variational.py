@@ -438,6 +438,36 @@ class TestScalarSolution:
             scalar_solution(1.0, 0.0)
 
 
+class TestOneKernelPassPerNewtonStep:
+    """The Newton loops take F and F' from one fused call per step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"big_f": 0, "big_f_prime": 0, "big_f_and_prime": 0}
+        for name in counts:
+            original = getattr(variational, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(variational, name, counted)
+        return counts
+
+    def test_scalar_solution(self, calls):
+        x = scalar_solution(2.0, 0.1)
+        assert x == pytest.approx(X_BAR_MU4_H01, abs=1e-10)
+        # the start F(t + h), then 5 Newton steps of one fused call each
+        assert calls == {"big_f": 1, "big_f_prime": 0, "big_f_and_prime": 5}
+
+    def test_fixed_point(self, calls):
+        sol = solve_fixed_point(BALANCED_MU4_H, tol=1e-10)
+        assert sol.converged and sol.iterations == 5
+        # one fused call per iteration, plus the one in _finish
+        assert calls == {"big_f": 0, "big_f_prime": 0,
+                         "big_f_and_prime": sol.iterations + 1}
+
+
 class TestSolveNestedBisection:
     def test_k2_matches_fixed_point(self):
         fp = solve_fixed_point(BALANCED_MU4_H, tol=1e-12)
