@@ -270,9 +270,27 @@ def exact_enumerate(disorder: DisorderSample) -> GibbsEstimate:
 # ---------------------------------------------------------------------------
 
 
-def heat_bath_probability(local_field):
-    """P(sigma_i = +1 | rest) = 1 / (1 + exp(-2 local_field))."""
-    return 1.0 / (1.0 + np.exp(-2.0 * np.asarray(local_field, dtype=float)))
+# Upkeep of the row-side fields in run_block_gibbs.  A layer update that
+# flips more than this share of the layer's sites refreshes the next
+# layer's kept field by a full product, which covers the random start and
+# caps a row gather at a quarter of a coupling block; and every
+# FIELD_RESYNC_SWEEPS-th sweep refreshes every kept field, so that rounding
+# in the running sums cannot build up.
+FULL_PRODUCT_FLIP_SHARE = 0.25
+FIELD_RESYNC_SWEEPS = 100
+
+
+def heat_bath_probability(local_field, out=None):
+    """P(sigma_i = +1 | rest) = 1 / (1 + exp(-2 local_field)).
+
+    With ``out`` the result is computed in that float array, which may be
+    ``local_field`` itself.  Below a local field of about -354.6 the
+    exponential overflows to inf and the probability is exactly 0; the
+    overflow is expected and not reported.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(np.multiply(-2.0, local_field, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 def run_block_gibbs(disorder: DisorderSample, sweeps: int, burn_in: int,
@@ -285,9 +303,25 @@ def run_block_gibbs(disorder: DisorderSample, sweeps: int, burn_in: int,
     independent, so each half-step is a single vectorized draw.  Standard
     errors come from batch means over the measurement sweeps; replica
     pairs sharing the disorder provide the overlap estimates.
+
+    Layer r sees the field h_r + s_{r-1} P_{r-1} + P_r s_{r+1}, with P_r the
+    pair coupling.  The row-side term s_{r-1} P_{r-1} is kept per replica:
+    after layer r-1 is updated it gains 2 s_{r-1}[idx] P_{r-1}[idx] over the
+    flipped sites idx, a gather of contiguous rows.  It is recomputed by a
+    full product instead when more than ``FULL_PRODUCT_FLIP_SHARE`` of layer
+    r-1 flipped, and on every ``FIELD_RESYNC_SWEEPS``-th sweep.  The column
+    side P_r s_{r+1} is a full product every time, since gathering columns
+    costs as much.  ``diagnostics`` counts those recomputations
+    (``field_resyncs``) and records the largest deviation of a kept field
+    from the full product found on the periodic ones (``max_field_drift``).
     """
     if not sweeps > burn_in >= 0:
         raise ValueError("need sweeps > burn_in >= 0")
+    n_meas = sweeps - burn_in
+    if n_meas < 2:
+        raise ValueError("standard errors need at least two measured sweeps")
+    if batches < 2:
+        raise ValueError("batch-means standard errors need batches >= 2")
     if n_replicas < 2:
         raise ValueError("overlap estimation needs at least two replicas")
     seed = disorder.seed if seed is None else seed
@@ -297,47 +331,74 @@ def run_block_gibbs(disorder: DisorderSample, sweeps: int, burn_in: int,
     off = disorder.size.offsets()
     pair = [disorder.pair_coupling(r) for r in range(k - 1)]
     rngs = [_spin_rng(seed, disorder.sample_index, rep) for rep in range(n_replicas)]
-    spins = [
-        [np.where(rng.random(sizes[r]) < 0.5, -1.0, 1.0) for r in range(k)]
-        for rng in rngs
-    ]
+    spins = np.empty((n_replicas, n))
+    layers = [[row[off[r]:off[r + 1]] for r in range(k)] for row in spins]
+    for rng, s in zip(rngs, layers):
+        for r in range(k):
+            s[r][:] = np.where(rng.random(sizes[r]) < 0.5, -1.0, 1.0)
+    # kept[rep][r] = s_{r-1} @ P_{r-1} of replica rep (None for r = 0)
+    kept = [[None] + [s[r - 1] @ pair[r - 1] for r in range(1, k)] for s in layers]
+    field = [np.empty(size) for size in sizes]
+    draw = [np.empty(size) for size in sizes]
+    flip = [np.empty(size, dtype=bool) for size in sizes]
+    order = [*range(0, k, 2), *range(1, k, 2)]
+    resyncs = 0
+    drift = 0.0
 
-    def half_step(rep: int, parity: int):
-        s = spins[rep]
-        for r in range(parity, k, 2):
-            field = disorder.fields[r].copy()
-            if r - 1 >= 0:
-                field += s[r - 1] @ pair[r - 1]
-            if r + 1 < k:
-                field += pair[r] @ s[r + 1]
-            u = rngs[rep].random(sizes[r])
-            s[r] = np.where(u < heat_bath_probability(field), 1.0, -1.0)
-
-    n_meas = sweeps - burn_in
-    m_series = np.empty((n_meas, k))
-    q_series = np.empty((n_meas, k))
+    pairs = [(a, c) for a in range(n_replicas) for c in range(a + 1, n_replicas)]
+    first, second = (list(side) for side in zip(*pairs))
+    overlaps = np.empty((len(pairs), n))
+    # per measured sweep, layer sums (exact integers) per replica or pair
+    mag_sums = np.empty((n_meas, k, n_replicas))
+    overlap_sums = np.empty((n_meas, k, len(pairs)))
     site_mag_sum = np.zeros(n)
     site_overlap_sum = np.zeros(n)
-    replica_pairs = [(a, c) for a in range(n_replicas) for c in range(a + 1, n_replicas)]
     for t in range(sweeps):
+        periodic = (t + 1) % FIELD_RESYNC_SWEEPS == 0
         for rep in range(n_replicas):
-            half_step(rep, 0)
-            half_step(rep, 1)
+            s = layers[rep]
+            for r in order:
+                f = field[r]
+                if r > 0:
+                    np.add(disorder.fields[r], kept[rep][r], out=f)
+                else:
+                    f[:] = disorder.fields[r]
+                if r + 1 < k:
+                    f += pair[r] @ s[r + 1]
+                rngs[rep].random(out=draw[r])
+                # a site flips when it is drawn up and was down, or the reverse
+                up = np.less(draw[r], heat_bath_probability(f, out=f), out=flip[r])
+                np.equal(up, s[r] < 0.0, out=flip[r])
+                np.negative(s[r], where=flip[r], out=s[r])
+                if r + 1 == k:
+                    continue
+                idx = flip[r].nonzero()[0]
+                row_side = kept[rep][r + 1]
+                if idx.size > FULL_PRODUCT_FLIP_SHARE * sizes[r]:
+                    row_side[:] = s[r] @ pair[r]
+                    resyncs += 1
+                    continue
+                if idx.size:
+                    row_side += (2.0 * s[r][idx]) @ pair[r][idx]
+                if periodic:
+                    fresh = s[r] @ pair[r]
+                    drift = max(drift, float(np.max(np.abs(row_side - fresh))))
+                    row_side[:] = fresh
+                    resyncs += 1
         if t < burn_in:
             continue
         i = t - burn_in
-        ms = np.zeros(k)
-        qs = np.zeros(k)
-        for r in range(k):
-            ms[r] = np.mean([spins[rep][r].mean() for rep in range(n_replicas)])
-            qs[r] = np.mean([(spins[a][r] * spins[c][r]).mean() for a, c in replica_pairs])
-        m_series[i] = ms
-        q_series[i] = qs
-        for r in range(k):
-            block = slice(off[r], off[r + 1])
-            site_mag_sum[block] += np.mean([spins[rep][r] for rep in range(n_replicas)], axis=0)
-            site_overlap_sum[block] += np.mean(
-                [spins[a][r] * spins[c][r] for a, c in replica_pairs], axis=0)
+        np.multiply(spins[first], spins[second], out=overlaps)
+        mag_sums[i] = np.add.reduceat(spins, off[:-1], axis=1).T
+        overlap_sums[i] = np.add.reduceat(overlaps, off[:-1], axis=1).T
+        site_mag_sum += spins.sum(axis=0) / n_replicas
+        site_overlap_sum += overlaps.sum(axis=0) / len(pairs)
+    # per-replica (per-pair) layer means, averaged over the last, contiguous
+    # axis: that sums in the order of a mean over a list of the layer means,
+    # which a mean over a leading axis does not for eight or more terms
+    layer_sizes = np.array(sizes, dtype=float)[:, None]
+    m_series = (mag_sums / layer_sizes).mean(axis=2)
+    q_series = (overlap_sums / layer_sizes).mean(axis=2)
 
     def batch_stderr(series: np.ndarray) -> np.ndarray:
         nb = min(batches, len(series))
@@ -360,7 +421,8 @@ def run_block_gibbs(disorder: DisorderSample, sweeps: int, burn_in: int,
         method=EngineKind.BLOCK_GIBBS,
         site_mag=site_mag_sum / n_meas,
         site_overlap=site_overlap_sum / n_meas,
-        diagnostics={"tau_int_m": tau.tolist(), "measured_sweeps": n_meas},
+        diagnostics={"tau_int_m": tau.tolist(), "measured_sweeps": n_meas,
+                     "field_resyncs": resyncs, "max_field_drift": drift},
     )
 
 

@@ -6,6 +6,7 @@ reference for the production enumeration engine.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,17 @@ from nishimori_dbm.simulator import (
     run_block_gibbs,
     sample_disorder,
 )
+from oracles import block_gibbs_reference
 
 SPEC_K2 = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[4.0], h=[0.1, 0.1])
+SPECS_BY_K = {
+    2: SPEC_K2,
+    3: ModelSpec(k=3, alpha=[0.3, 0.4, 0.3], mu=[3.0, 2.5], h=[0.1, 0.05, 0.2]),
+    4: ModelSpec(k=4, alpha=[0.3, 0.2, 0.25, 0.25], mu=[3.0, 2.5, 3.5],
+                 h=[0.1, 0.2, 0.05, 0.15]),
+    5: ModelSpec(k=5, alpha=[0.2] * 5, mu=[3.0, 2.0, 2.5, 3.0],
+                 h=[0.1, 0.0, 0.2, 0.05, 0.1]),
+}
 
 
 def brute_force_reference(disorder):
@@ -267,6 +277,62 @@ class TestBlockGibbs:
         with pytest.raises(ValueError):
             run_block_gibbs(d, sweeps=10, burn_in=0, n_replicas=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"sweeps": 40, "burn_in": 10, "batches": 0},
+        {"sweeps": 40, "burn_in": 10, "batches": 1},
+        {"sweeps": 11, "burn_in": 10},
+    ])
+    def test_rejects_too_few_batches_or_measured_sweeps(self, kwargs):
+        # these gave ZeroDivisionError or NaN standard errors
+        d = sample_disorder(SPEC_K2, SystemSize.from_spec(SPEC_K2, 12), 5)
+        with pytest.raises(ValueError):
+            run_block_gibbs(d, **kwargs)
+
+    def test_strong_coupling_does_not_warn(self):
+        strong = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[800.0], h=[0.1, 0.1])
+        d = sample_disorder(strong, SystemSize.from_spec(strong, 40), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert heat_bath_probability(-400.0) == 0.0
+            est = run_block_gibbs(d, sweeps=30, burn_in=10)
+        assert np.all(np.isfinite(est.m))
+
+    @pytest.mark.parametrize("n_replicas", [2, 3])
+    @pytest.mark.parametrize("n", [12, 40, 400])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_reference_sampler_bitwise(self, k, n, n_replicas):
+        # 250 sweeps pass two periodic field resyncs; the random start
+        # flips about half of each layer, past the full-product share
+        spec = SPECS_BY_K[k]
+        d = sample_disorder(spec, SystemSize.from_spec(spec, n), 100 + n + k,
+                            sample_index=1)
+        self._assert_matches_reference(d, n_replicas)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(k=2, alpha=[0.5, 0.5], mu=[0.0], h=[0.6, 0.6]),
+        ModelSpec(k=3, alpha=[0.02, 0.96, 0.02], mu=[3.0, 3.0], h=[0.1, 0.1, 0.1]),
+    ], ids=["mu-zero", "one-site-layers"])
+    def test_matches_reference_sampler_on_edge_chains(self, spec):
+        d = sample_disorder(spec, SystemSize.from_spec(spec, 40), 9)
+        self._assert_matches_reference(d, 2)
+
+    @staticmethod
+    def _assert_matches_reference(d, n_replicas):
+        ref = block_gibbs_reference(d, sweeps=250, burn_in=50, n_replicas=n_replicas)
+        est = run_block_gibbs(d, sweeps=250, burn_in=50, n_replicas=n_replicas)
+        for key in ("m", "q", "stderr_m", "stderr_q", "site_mag", "site_overlap"):
+            np.testing.assert_array_equal(getattr(est, key), getattr(ref, key), err_msg=key)
+        assert est.diagnostics["tau_int_m"] == ref.diagnostics["tau_int_m"]
+        # more recomputations than the periodic ones: the flip-share rule fired
+        periodic = 2 * n_replicas * (d.spec.k - 1)
+        assert est.diagnostics["field_resyncs"] > periodic
+
+    def test_kept_fields_drift_stays_at_rounding_level(self):
+        d = sample_disorder(SPEC_K2, SystemSize.from_spec(SPEC_K2, 2000), 20260811)
+        est = run_block_gibbs(d, sweeps=300, burn_in=100)
+        assert est.diagnostics["field_resyncs"] >= 3 * 2
+        assert 0.0 < est.diagnostics["max_field_drift"] <= 1e-12
+
 
 class TestQuenchedRun:
     def test_nishimori_identity_layerwise(self):
@@ -284,6 +350,14 @@ class TestQuenchedRun:
                                 threads=2)
         np.testing.assert_array_equal(serial.m_samples, threaded.m_samples)
         np.testing.assert_array_equal(serial.p_samples, threaded.p_samples)
+
+    def test_thread_count_does_not_change_gibbs_results(self):
+        size = SystemSize.from_spec(SPEC_K2, 40)
+        kwargs = dict(engine="block_gibbs", sweeps=150, burn_in=30, solve_theory=False)
+        serial = quenched_run(SPEC_K2, size, 6, 31, **kwargs)
+        threaded = quenched_run(SPEC_K2, size, 6, 31, threads=2, **kwargs)
+        np.testing.assert_array_equal(serial.m_samples, threaded.m_samples)
+        np.testing.assert_array_equal(serial.q_samples, threaded.q_samples)
 
     def test_magnetization_monotone_in_field(self):
         # separated by 4 combined stderr at two field strengths
