@@ -7,7 +7,7 @@ fully resolved effective configuration before running.  Exit codes:
 0 success, 1 invalid input, 2 non-convergence or failed checks.
 
 Environment overrides mirror the global flags with the ``DBM_`` prefix:
-DBM_CONFIG, DBM_SEED, DBM_THREADS, DBM_OUT, DBM_TOL.
+DBM_CONFIG, DBM_SEED, DBM_OUT, DBM_TOL.
 """
 
 from __future__ import annotations
@@ -156,15 +156,6 @@ def _echo(effective: dict) -> None:
         print("  " + line)
 
 
-def _threads(args) -> int:
-    value = _env_or_flag(args, "threads", int)
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise CliError("--threads must be at least 1")
-    return value
-
-
 def _out_dir(args) -> Path:
     out = _env_or_flag(args, "out", str) or "."
     path = Path(out)
@@ -276,8 +267,6 @@ def _run_quenched(args, command: str, engine: EngineKind) -> int:
     if seed is None:
         seed = 12345
     block["base_seed"] = seed
-    threads = _threads(args)
-    block["threads"] = threads
     _echo({"command": command, "model": spec.to_dict(), command: block})
     size = SystemSize.from_spec(spec, int(block["N"]))
     kwargs = {}
@@ -285,7 +274,7 @@ def _run_quenched(args, command: str, engine: EngineKind) -> int:
         kwargs = {"sweeps": int(block["sweeps"]), "burn_in": int(block["burn_in"]),
                   "n_replicas": int(block["n_replicas"])}
     report = quenched_run(spec, size, int(block["n_disorder"]), seed,
-                          engine=engine, threads=threads, rule=rule, **kwargs)
+                          engine=engine, rule=rule, **kwargs)
     out = _out_dir(args)
     csv_path = out / f"{command}_report.csv"
     json_path = out / f"{command}_report.json"
@@ -346,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--seed", type=int, help="base seed (64-bit)")
-        p.add_argument("--threads", type=int, help="worker threads for simulate and enumerate")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--tol", type=float, help="solver tolerance override")
 

@@ -186,16 +186,18 @@ def optimize_form_factors(mu, grid_step: float = 1.0 / 40.0,
                           refine: bool = True) -> tuple[np.ndarray, float]:
     """Maximize rho([M^2]^(oo)) over the form-factor simplex.
 
-    Coarse simplex grid (step ``grid_step``) followed by Nelder-Mead
-    refinement projected back onto the simplex.  The returned value equals
-    (max_r mu_{r,r+1})^2 / 4 up to search resolution, attained at a sparse
-    boundary configuration.
+    Coarse simplex grid (step ``grid_step``, in (0, 1]) followed by
+    Nelder-Mead refinement projected back onto the simplex.  The returned
+    value equals (max_r mu_{r,r+1})^2 / 4 up to search resolution, attained
+    at a sparse boundary configuration.
     """
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0):
         raise ValueError("couplings must be nonnegative")
     if not np.any(mu > 0):
         raise ValueError("at least one coupling must be positive")
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError(f"grid_step must lie in (0, 1], got {grid_step!r}")
     k = len(mu) + 1
     steps = int(round(1.0 / grid_step))
     grid = _simplex_grid_array(k, steps)

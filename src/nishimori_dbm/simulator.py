@@ -3,14 +3,15 @@
 The finite-size Hamiltonian couples adjacent layers through independent
 Gaussian couplings drawn, for each ordered layer pair, with mean equal to
 variance (mu_{r,r+1} / 2N per entry); per-site fields have mean and
-variance h_r.  Energies are
+variance h_r.  The two ordered blocks Jf_r and Jb_r of a layer pair enter
+only through their sum, the pair coupling P_r = Jf_r + Jb_r^T with entries
+N(mu/N, mu/N), which keeps the model exactly on the mean-equals-variance
+line at finite N, where the identities E<m_r> = E<q_r> hold sample-exactly
+in disorder average.  Energies are
 
-    H(sigma) = - sum_edges [ s_r' Jf s_{r+1} + s_{r+1}' Jb s_r ] - h~ . sigma
+    H(sigma) = - sum_r s_r' P_r s_{r+1} - h~ . sigma
 
-with Boltzmann weight exp(-H).  Both ordered blocks enter; their sum is
-the effective pair coupling N(mu/N, mu/N) that keeps the model exactly on
-the mean-equals-variance line at finite N, where the identities
-E<m_r> = E<q_r> hold sample-exactly in disorder average.
+with Boltzmann weight exp(-H).
 
 The bipartite layer structure gives conditional independence across
 parities: enumeration sums out the smaller parity class analytically
@@ -19,15 +20,15 @@ updates whole parity classes simultaneously with heat-bath conditionals.
 
 Randomness is drawn from Philox counter-based streams with documented
 derivation: stream (0, sample) feeds the disorder of a sample, stream
-(1, sample, replica) feeds the spins of one replica chain.  Quenched
-averages are therefore bit-reproducible for any thread count.
+(1, sample, replica) feeds the spins of one replica chain.  Sample i
+therefore depends only on (seed, i), and quenched averages are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,24 +111,17 @@ class SystemSize:
 class DisorderSample:
     """One realization of couplings and fields, reproducible from its seeds.
 
-    ``j_forward[r]`` is the (N_r, N_{r+1}) block of ordered-pair couplings
-    from layer r+1 to r+2 (1-based), ``j_backward[r]`` the independent
-    (N_{r+1}, N_r) block of the reversed pair; each entry is
-    N(mu_r / 2N, mu_r / 2N).  ``fields[r]`` holds the N_r per-site fields
-    N(h_r, h_r).
+    ``pair[r]`` is the (N_r, N_{r+1}) coupling P_r = Jf_r + Jb_r^T between
+    layers r+1 and r+2 (1-based), with entries N(mu_r / N, mu_r / N).
+    ``fields[r]`` holds the N_r per-site fields N(h_r, h_r).
     """
 
     spec: ModelSpec
     size: SystemSize
     seed: int
     sample_index: int
-    j_forward: tuple
-    j_backward: tuple
+    pair: tuple
     fields: tuple
-
-    def pair_coupling(self, r: int) -> np.ndarray:
-        """Total coupling between layers r+1 and r+2: Jf + Jb^T, N(mu/N, mu/N)."""
-        return self.j_forward[r] + self.j_backward[r].T
 
 
 def _disorder_rng(seed: int, sample_index: int) -> np.random.Generator:
@@ -142,24 +136,29 @@ def _spin_rng(seed: int, sample_index: int, replica: int) -> np.random.Generator
 
 def sample_disorder(spec: ModelSpec, size: SystemSize, seed: int,
                     sample_index: int = 0) -> DisorderSample:
-    """Draw one disorder realization; deterministic in (spec, size, seed, index)."""
+    """Draw one disorder realization; deterministic in (spec, size, seed, index).
+
+    Per layer pair the stream gives the (N_r, N_{r+1}) block Jf_r and then
+    the (N_{r+1}, N_r) block Jb_r, each N(mu_r / 2N, mu_r / 2N), and after
+    all pairs the fields; only P_r = Jf_r + Jb_r^T is kept.
+    """
     rng = _disorder_rng(seed, sample_index)
     sizes = size.layer_sizes
     n = size.n
-    j_forward, j_backward = [], []
+    pair = []
     for r in range(spec.k - 1):
         mean = spec.mu[r] / (2.0 * n)
         std = math.sqrt(spec.mu[r] / (2.0 * n))
-        j_forward.append(rng.normal(mean, std, size=(sizes[r], sizes[r + 1])))
-        j_backward.append(rng.normal(mean, std, size=(sizes[r + 1], sizes[r])))
+        jf = rng.normal(mean, std, size=(sizes[r], sizes[r + 1]))
+        jb = rng.normal(mean, std, size=(sizes[r + 1], sizes[r]))
+        pair.append(np.add(jf, jb.T, out=jf))
     fields = [
         rng.normal(spec.h[r], math.sqrt(spec.h[r]), size=sizes[r])
         for r in range(spec.k)
     ]
     return DisorderSample(
         spec=spec, size=size, seed=seed, sample_index=sample_index,
-        j_forward=tuple(j_forward), j_backward=tuple(j_backward),
-        fields=tuple(fields),
+        pair=tuple(pair), fields=tuple(fields),
     )
 
 
@@ -172,8 +171,7 @@ def energy(sigma, disorder: DisorderSample) -> float:
     layers = [sigma[off[r]:off[r + 1]] for r in range(disorder.spec.k)]
     e = 0.0
     for r in range(disorder.spec.k - 1):
-        e -= layers[r] @ disorder.j_forward[r] @ layers[r + 1]
-        e -= layers[r + 1] @ disorder.j_backward[r] @ layers[r]
+        e -= layers[r] @ disorder.pair[r] @ layers[r + 1]
     for r in range(disorder.spec.k):
         e -= disorder.fields[r] @ layers[r]
     return float(e)
@@ -227,7 +225,7 @@ def exact_enumerate(disorder: DisorderSample) -> GibbsEstimate:
         col_of[r] = slice(col, col + sizes[r])
         col += sizes[r]
 
-    pair = [disorder.pair_coupling(r) for r in range(k - 1)]
+    pair = disorder.pair
     log_weight = np.zeros(b)
     for r in enum_layers:
         log_weight += states[:, col_of[r]] @ disorder.fields[r]
@@ -329,7 +327,7 @@ def run_block_gibbs(disorder: DisorderSample, sweeps: int, burn_in: int,
     sizes = disorder.size.layer_sizes
     n = disorder.size.n
     off = disorder.size.offsets()
-    pair = [disorder.pair_coupling(r) for r in range(k - 1)]
+    pair = disorder.pair
     rngs = [_spin_rng(seed, disorder.sample_index, rep) for rep in range(n_replicas)]
     spins = np.empty((n_replicas, n))
     layers = [[row[off[r]:off[r + 1]] for r in range(k)] for row in spins]
@@ -478,30 +476,25 @@ class QuenchedReport:
 def quenched_run(spec: ModelSpec, size: SystemSize, n_disorder: int, base_seed: int,
                  engine: EngineKind | str = EngineKind.ENUMERATION,
                  sweeps: int = 2000, burn_in: int = 400, n_replicas: int = 2,
-                 threads: int | None = None, solve_theory: bool = True,
+                 solve_theory: bool = True,
                  rule: QuadratureRule | None = None) -> QuenchedReport:
-    """Average Gibbs estimates over independent disorder samples.
+    """Average Gibbs estimates over independent disorder samples, in order.
 
     Sample i draws its disorder from stream (0, i) and its spins from
-    streams (1, i, replica) of ``base_seed``, so results do not depend on
-    the number of worker threads.  Aggregation runs in sample order.
+    streams (1, i, replica) of ``base_seed``, so its estimate is that of
+    ``sample_disorder(spec, size, base_seed, i)`` run alone.
     """
     engine = EngineKind(engine)
     if n_disorder < 1:
         raise ValueError("n_disorder must be at least 1")
-
-    def one(i: int) -> GibbsEstimate:
+    estimates = []
+    for i in range(n_disorder):
         disorder = sample_disorder(spec, size, base_seed, sample_index=i)
         if engine is EngineKind.ENUMERATION:
-            return exact_enumerate(disorder)
-        return run_block_gibbs(disorder, sweeps=sweeps, burn_in=burn_in,
-                               n_replicas=n_replicas)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(one, range(n_disorder)))
-    else:
-        estimates = [one(i) for i in range(n_disorder)]
+            estimates.append(exact_enumerate(disorder))
+        else:
+            estimates.append(run_block_gibbs(disorder, sweeps=sweeps, burn_in=burn_in,
+                                             n_replicas=n_replicas))
 
     m_samples = np.array([e.m for e in estimates])
     q_samples = np.array([e.q for e in estimates])

@@ -325,13 +325,20 @@ class _PiChain:
         x = self.assemble(x_o, self.x_even_inf(x_o, finv))
         return _p_var_core(x, self.c, self.rule)
 
-    def grad(self, x_o: np.ndarray, finv=None) -> np.ndarray:
-        c = self.c
-        inner = big_f(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
-        return 0.5 * c.alpha_o * (-self._finv(x_o, finv) + c.h_o + c.m_oe @ inner)
+    def derivatives(self, x_o: np.ndarray, finv=None):
+        """(gradient, D^(oo), D^(ee), Hessian) of pi at x_o.
 
-    def hessian(self, x_o: np.ndarray) -> np.ndarray:
-        return self._hessian_parts(x_o)[2]
+        F and F' at the even arguments M^(eo) x_o + h_e come from one fused
+        kernel pass.  D^(oo) is evaluated at the inner minimizer, where the
+        odd arguments of F' collapse to F^{-1}(x_o).
+        """
+        c = self.c
+        finv = self._finv(x_o, finv)
+        f_e, d_ee = big_f_and_prime(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
+        grad = 0.5 * c.alpha_o * (-finv + c.h_o + c.m_oe @ f_e)
+        d_oo = big_f_prime(finv, self.rule)
+        core = -np.eye(len(x_o)) + (d_oo[:, None] * c.m_oe) @ (d_ee[:, None] * c.m_eo)
+        return grad, d_oo, d_ee, 0.5 * (c.alpha_o / d_oo)[:, None] * core
 
     def hessian_symmetrized(self, x_o: np.ndarray) -> np.ndarray:
         """Congruent symmetric form sharing the Hessian's eigenvalue signs.
@@ -341,7 +348,7 @@ class _PiChain:
         spectrum equals that of [(D M)^2]^(oo).
         """
         c = self.c
-        d_oo, d_ee, _ = self._hessian_parts(x_o)
+        _, d_oo, d_ee, _ = self.derivatives(x_o)
         s = (
             np.sqrt(d_oo * c.alpha_o)[:, None]
             * c.m_oe
@@ -351,18 +358,6 @@ class _PiChain:
         )
         scale = np.sqrt(c.alpha_o / d_oo)
         return 0.5 * scale[:, None] * (-np.eye(len(x_o)) + s) * scale[None, :]
-
-    def _hessian_parts(self, x_o, finv=None):
-        """(D^(oo), D^(ee), Hessian) at x_o.
-
-        D^(oo) is evaluated at the inner minimizer, where the odd arguments
-        of F' collapse to F^{-1}(x_o).
-        """
-        c = self.c
-        d_oo = big_f_prime(self._finv(x_o, finv), self.rule)
-        d_ee = big_f_prime(np.maximum(c.m_eo @ x_o + c.h_e, 0.0), self.rule)
-        core = -np.eye(len(x_o)) + (d_oo[:, None] * c.m_oe) @ (d_ee[:, None] * c.m_eo)
-        return d_oo, d_ee, 0.5 * (c.alpha_o / d_oo)[:, None] * core
 
     def assemble(self, x_o: np.ndarray, x_e: np.ndarray) -> np.ndarray:
         x = np.empty(self.c.k)
@@ -402,13 +397,13 @@ def grad_pi(x_o, spec: ModelSpec, rule: QuadratureRule | None = None) -> np.ndar
     approaches 1 (F^{-1} blows up), which rules out boundary maximizers.
     """
     chain = _pi_chain(spec, rule)
-    return chain.grad(_validate_x_odd(x_o, spec.k))
+    return chain.derivatives(_validate_x_odd(x_o, spec.k))[0]
 
 
 def hessian_pi(x_o, spec: ModelSpec, rule: QuadratureRule | None = None) -> np.ndarray:
     """Hessian (alpha^(oo) [D^(oo)]^{-1} / 2)(-1 + [ (D M)^2 ]^(oo)) of pi."""
     chain = _pi_chain(spec, rule)
-    return chain.hessian(_validate_x_odd(x_o, spec.k))
+    return chain.derivatives(_validate_x_odd(x_o, spec.k))[3]
 
 
 def hessian_pi_symmetrized(x_o, spec: ModelSpec,
@@ -443,8 +438,7 @@ def _pi_ascent_core(chain: Chain, tol, max_iter, rule):
     stopped = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = pi.grad(x, finv)
-        _, d_ee, hess = pi._hessian_parts(x, finv)
+        g, _, d_ee, hess = pi.derivatives(x, finv)
         try:
             p = -np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
@@ -507,17 +501,6 @@ def scalar_solution(t: float, h: float, rule: QuadratureRule | None = None,
             return x_new
         x = x_new
     return x
-
-
-def _theta_chain(alpha, mu, a) -> np.ndarray:
-    """Theta_r(a) = alpha_r (mu_{r-1,r} / a_{r-1} + mu_{r,r+1} a_r)."""
-    k = len(alpha)
-    theta = np.zeros(k)
-    theta[0] = alpha[0] * mu[0] * a[0]
-    for r in range(1, k - 1):
-        theta[r] = alpha[r] * (mu[r - 1] / a[r - 1] + mu[r] * a[r])
-    theta[k - 1] = alpha[k - 1] * mu[k - 2] / a[k - 2]
-    return theta
 
 
 def _level_root(gap, u, slope):
@@ -600,10 +583,16 @@ def _nested_core(alpha, mu, h, rule):
     def x_scalar(r, theta_r):
         return scalar_solution(theta_r, h[r], rule)
 
-    def theta_interior(r, a_prev, a_next):
+    def theta(r, a_prev, a_next):
+        """Theta_r = alpha_r (mu_{r-1,r} / a_{r-1} + mu_{r,r+1} a_r).
+
+        The first layer has no left term, ``a_prev``, and takes the product
+        as alpha_0 mu_{0,1} a_0; the last layer has no right term.
+        """
+        if r == 0:
+            return alpha[0] * mu[0] * a_next
         tail = mu[r] * a_next if r < k - 1 else 0.0
-        head = mu[r - 1] / a_prev if r >= 1 else 0.0
-        return alpha[r] * (head + tail)
+        return alpha[r] * (mu[r - 1] / a_prev + tail)
 
     def cascade(r, a_next):
         """Return [a_0, ..., a_r] solving levels 0..r given a_{r+1} = a_next."""
@@ -614,13 +603,13 @@ def _nested_core(alpha, mu, h, rule):
             evals += 1
             a_r = math.exp(u)
             if r == 0:
-                x0 = x_scalar(0, alpha[0] * mu[0] * a_r)
+                x0 = x_scalar(0, theta(0, None, a_r))
                 log_lhs = math.log(alpha[0] * x0) + u
             else:
                 lower = cascade(r - 1, a_r)
-                x0 = x_scalar(0, alpha[0] * mu[0] * lower[0])
+                x0 = x_scalar(0, theta(0, None, lower[0]))
                 log_lhs = math.log(alpha[0] * x0) + sum(map(math.log, lower)) + u
-            rhs = alpha[r + 1] * x_scalar(r + 1, theta_interior(r + 1, a_r, a_next))
+            rhs = alpha[r + 1] * x_scalar(r + 1, theta(r + 1, a_r, a_next))
             return log_lhs - math.log(rhs)
 
         warm[r] = _level_root(gap, *warm[r])
@@ -632,9 +621,10 @@ def _nested_core(alpha, mu, h, rule):
     if k == 1:
         return np.array([big_f(h[0], rule)]), np.zeros(0), np.zeros(1), evals
     a = np.array(cascade(k - 2, 0.0))
-    theta = _theta_chain(alpha, mu, a)
-    x = np.array([x_scalar(r, theta[r]) for r in range(k)])
-    return x, a, theta, evals
+    ends = [None, *a, 0.0]  # a_{r-1} and a_r of layer r are ends[r], ends[r + 1]
+    thetas = np.array([theta(r, ends[r], ends[r + 1]) for r in range(k)])
+    x = np.array([x_scalar(r, thetas[r]) for r in range(k)])
+    return x, a, thetas, evals
 
 
 def nested_bisection_chain(spec: ModelSpec, rule: QuadratureRule | None = None

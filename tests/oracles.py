@@ -5,6 +5,8 @@ The quadrature oracles are deliberately built on scipy.integrate.quad
 bisection, never on the package's quadrature path, so that agreement
 between the two is a genuine cross-check.  The reference block-Gibbs
 sampler keeps the plain per-layer loop with full matrix-vector products.
+``redraw_blocks`` re-draws the two ordered coupling blocks of each layer
+pair from the documented Philox stream, which the package does not keep.
 """
 
 import math
@@ -71,6 +73,24 @@ def scalar_root_quad(t: float, h: float) -> float:
     return bisect(lambda x: big_f_quad(t * x + h) - x, 1e-9, 1.0 - 1e-12)
 
 
+def redraw_blocks(spec, size, seed: int, sample_index: int = 0):
+    """(Jf, Jb) of each layer pair, re-drawn from Philox stream (0, sample_index).
+
+    Per pair, a forward (N_r, N_{r+1}) and a backward (N_{r+1}, N_r) block
+    of N(mu_r / 2N, mu_r / 2N) entries, in that order.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, sample_index))
+    rng = np.random.Generator(np.random.Philox(ss))
+    sizes, n = size.layer_sizes, size.n
+    forward, backward = [], []
+    for r in range(spec.k - 1):
+        mean = spec.mu[r] / (2.0 * n)
+        std = math.sqrt(spec.mu[r] / (2.0 * n))
+        forward.append(rng.normal(mean, std, size=(sizes[r], sizes[r + 1])))
+        backward.append(rng.normal(mean, std, size=(sizes[r + 1], sizes[r])))
+    return forward, backward
+
+
 def heat_bath_probability(local_field):
     """P(sigma_i = +1 | rest) = 1 / (1 + exp(-2 local_field))."""
     return 1.0 / (1.0 + np.exp(-2.0 * np.asarray(local_field, dtype=float)))
@@ -100,7 +120,7 @@ def block_gibbs_reference(disorder: DisorderSample, sweeps: int, burn_in: int,
     sizes = disorder.size.layer_sizes
     n = disorder.size.n
     off = disorder.size.offsets()
-    pair = [disorder.pair_coupling(r) for r in range(k - 1)]
+    pair = disorder.pair
     rngs = [_spin_rng(seed, disorder.sample_index, rep) for rep in range(n_replicas)]
     spins = [
         [np.where(rng.random(sizes[r]) < 0.5, -1.0, 1.0) for r in range(k)]

@@ -61,7 +61,7 @@ def enumeration_reports():
     for n in (8, 16, 24):
         reports[n] = quenched_run(
             BENCH_SPEC, SystemSize.from_spec(BENCH_SPEC, n), 200, SEED_ENUM,
-            engine="enumeration", threads=2,
+            engine="enumeration",
         )
     return reports
 
@@ -254,7 +254,7 @@ def test_criterion_6_finite_n_convergence(enumeration_reports, theory_solution):
 
     gibbs = quenched_run(
         BENCH_SPEC, SystemSize.from_spec(BENCH_SPEC, 2000), 100, SEED_GIBBS,
-        engine="block_gibbs", sweeps=2000, burn_in=400, threads=2,
+        engine="block_gibbs", sweeps=2000, burn_in=400,
     )
     gibbs_gap = np.abs(gibbs.m_mean - x_bar)
     gibbs_tol = np.maximum(0.02, 4.0 * gibbs.m_stderr)
@@ -295,7 +295,7 @@ def test_criterion_8_pressure_convergence(theory_solution):
     p_theory = p_var(theory_solution.x_bar, BENCH_SPEC)
     reports = {
         n: quenched_run(BENCH_SPEC, SystemSize.from_spec(BENCH_SPEC, n), 200,
-                        SEED_PRESSURE, engine="enumeration", threads=2)
+                        SEED_PRESSURE, engine="enumeration")
         for n in (10, 20)
     }
     gap10 = abs(reports[10].p_mean - p_theory)

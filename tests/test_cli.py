@@ -126,6 +126,15 @@ class TestOptimizeAlpha:
         assert record["rho_star"] == pytest.approx(2.25, abs=1e-6)
         assert record["conditions"]
 
+    @pytest.mark.parametrize("grid_step", [0, 2.0, -0.5, float("nan")])
+    def test_bad_grid_step_exits_one(self, tmp_path, capsys, grid_step):
+        cfg = write_config(tmp_path, {
+            "optimize_alpha": {"mu": [1.0, 3.0], "grid_step": grid_step}})
+        assert run(["optimize-alpha", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_step") and "Traceback" not in err
+        assert not (tmp_path / "optimize_alpha.json").exists()
+
 
 class TestSimulationCommands:
     def test_enumerate_and_seed_reproducibility(self, tmp_path):
@@ -137,7 +146,7 @@ class TestSimulationCommands:
         assert run(["enumerate", "--config", cfg, "--out", str(out_a),
                     "--seed", "99"]) == 0
         assert run(["enumerate", "--config", cfg, "--out", str(out_b),
-                    "--seed", "99", "--threads", "2"]) == 0
+                    "--seed", "99"]) == 0
         csv_a = (out_a / "enumerate_report.csv").read_text()
         assert csv_a == (out_b / "enumerate_report.csv").read_text()
         record = json.loads((out_a / "enumerate_report.json").read_text())
@@ -153,6 +162,18 @@ class TestSimulationCommands:
         record = json.loads((tmp_path / "simulate_report.json").read_text())
         assert record["engine"] == "block_gibbs"
         assert len(record["m_mean"]) == 2
+
+    def test_simulate_seed_reproducibility(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": {"K": 2, "alpha": [0.5, 0.5], "mu": [4.0], "h": [0.1, 0.1]},
+            "simulate": {"N": 24, "n_disorder": 3, "sweeps": 200, "burn_in": 50},
+        })
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert run(["simulate", "--config", cfg, "--out", str(out),
+                        "--seed", "99"]) == 0
+        for name in ("simulate_report.csv", "simulate_report.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestEnvironmentOverrides:

@@ -1,6 +1,7 @@
 """Phase scans, form-factor optimization, and the Perron instability check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ class TestOptimizeFormFactors:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             optimize_form_factors([0.0, 0.0])
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.1, 2.0, math.nan, math.inf])
+    def test_rejects_grid_step_outside_unit_interval(self, grid_step):
+        # these divided by zero, returned NaN, or failed inside NumPy
+        with pytest.raises(ValueError, match="grid_step"):
+            optimize_form_factors([1.0, 3.0], grid_step=grid_step)
 
     @pytest.mark.parametrize("mu", [[2.0, 2.0, 1.0], [1.5] * 4])
     def test_flat_family_keeps_grid_row(self, mu):

@@ -1,8 +1,9 @@
 """Finite-N simulator: disorder law, energies, enumeration, Gibbs sampling.
 
 The brute-force oracle enumerates all 2^N states of the full Hamiltonian
-(both ordered coupling blocks, transcribed term by term) and is the
-reference for the production enumeration engine.
+(both ordered coupling blocks, re-drawn from the disorder stream and
+transcribed term by term) and is the reference for the production
+enumeration engine.
 """
 
 import math
@@ -23,7 +24,7 @@ from nishimori_dbm.simulator import (
     run_block_gibbs,
     sample_disorder,
 )
-from oracles import block_gibbs_reference
+from oracles import block_gibbs_reference, redraw_blocks
 
 SPEC_K2 = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[4.0], h=[0.1, 0.1])
 SPECS_BY_K = {
@@ -41,6 +42,8 @@ def brute_force_reference(disorder):
     n = disorder.size.n
     k = disorder.spec.k
     off = disorder.size.offsets()
+    j_forward, j_backward = redraw_blocks(disorder.spec, disorder.size, disorder.seed,
+                                          disorder.sample_index)
     states = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
     energies = np.zeros(1 << n)
     for s_idx in range(1 << n):
@@ -51,8 +54,8 @@ def brute_force_reference(disorder):
             b = sigma[off[r + 1]:off[r + 2]]
             for i in range(len(a)):
                 for j in range(len(b)):
-                    e -= disorder.j_forward[r][i, j] * a[i] * b[j]
-                    e -= disorder.j_backward[r][j, i] * b[j] * a[i]
+                    e -= j_forward[r][i, j] * a[i] * b[j]
+                    e -= j_backward[r][j, i] * b[j] * a[i]
         for r in range(k):
             e -= float(disorder.fields[r] @ sigma[off[r]:off[r + 1]])
         energies[s_idx] = e
@@ -90,34 +93,37 @@ class TestSampleDisorder:
         size = SystemSize.from_spec(SPEC_K2, 12)
         a = sample_disorder(SPEC_K2, size, 7, sample_index=3)
         b = sample_disorder(SPEC_K2, size, 7, sample_index=3)
-        assert all(np.array_equal(x, y) for x, y in zip(a.j_forward, b.j_forward))
+        assert all(np.array_equal(x, y) for x, y in zip(a.pair, b.pair))
         assert all(np.array_equal(x, y) for x, y in zip(a.fields, b.fields))
         c = sample_disorder(SPEC_K2, size, 7, sample_index=4)
-        assert not np.array_equal(a.j_forward[0], c.j_forward[0])
+        assert not np.array_equal(a.pair[0], c.pair[0])
 
     def test_zero_coupling_block(self):
         spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[0.0], h=[0.1, 0.1])
         size = SystemSize.from_spec(spec, 10)
         d = sample_disorder(spec, size, 1)
-        assert not d.j_forward[0].any() and not d.j_backward[0].any()
+        assert not d.pair[0].any()
 
     def test_block_statistics(self):
-        # 10^6 entries: sample mean within 5 standard errors of mu / 2N
+        # 10^6 entries of P = Jf + Jb^T: mean and variance both mu / N (the
+        # mean-equals-variance line), the mean within 5 standard errors
         spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[2.0], h=[0.0, 0.0])
         n = 2000
         size = SystemSize.from_spec(spec, n)
         d = sample_disorder(spec, size, 99)
-        entries = d.j_forward[0].ravel()
-        mean, var = 2.0 / (2 * n), 2.0 / (2 * n)
+        entries = d.pair[0].ravel()
+        mean, var = 2.0 / n, 2.0 / n
         se = math.sqrt(var / entries.size)
         assert abs(entries.mean() - mean) < 5 * se
         assert np.var(entries) == pytest.approx(var, rel=0.01)
 
     def test_pair_coupling_combines_blocks(self):
-        size = SystemSize.from_spec(SPEC_K2, 8)
-        d = sample_disorder(SPEC_K2, size, 5)
-        np.testing.assert_allclose(d.pair_coupling(0),
-                                   d.j_forward[0] + d.j_backward[0].T)
+        spec = SPECS_BY_K[3]
+        size = SystemSize.from_spec(spec, 10)
+        d = sample_disorder(spec, size, 5, sample_index=2)
+        j_forward, j_backward = redraw_blocks(spec, size, 5, 2)
+        for r in range(spec.k - 1):
+            np.testing.assert_array_equal(d.pair[r], j_forward[r] + j_backward[r].T)
 
 
 class TestEnergy:
@@ -143,6 +149,7 @@ class TestEnergy:
                          h=[0.2, 0.1, 0.3])
         size = SystemSize.from_spec(spec, 8)
         d = sample_disorder(spec, size, 3)
+        j_forward, j_backward = redraw_blocks(spec, size, 3)
         off = size.offsets()
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -153,8 +160,8 @@ class TestEnergy:
                     for j in range(size.layer_sizes[r + 1]):
                         si = sigma[off[r] + i]
                         sj = sigma[off[r + 1] + j]
-                        e -= d.j_forward[r][i, j] * si * sj
-                        e -= d.j_backward[r][j, i] * sj * si
+                        e -= j_forward[r][i, j] * si * sj
+                        e -= j_backward[r][j, i] * sj * si
             for r in range(3):
                 e -= float(d.fields[r] @ sigma[off[r]:off[r + 1]])
             assert energy(sigma, d) == pytest.approx(e, abs=1e-12)
@@ -182,7 +189,8 @@ class TestExactEnumerate:
         spec = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[2.0], h=[0.3, 0.7])
         size = SystemSize(n=2, layer_sizes=(1, 1))
         d = sample_disorder(spec, size, 11)
-        j = d.j_forward[0][0, 0] + d.j_backward[0][0, 0]
+        j_forward, j_backward = redraw_blocks(spec, size, 11)
+        j = j_forward[0][0, 0] + j_backward[0][0, 0]
         h1, h2 = d.fields[0][0], d.fields[1][0]
         z = sum(
             math.exp(j * s1 * s2 + h1 * s1 + h2 * s2)
@@ -343,21 +351,22 @@ class TestQuenchedRun:
             assert abs(report.m_mean[r] - report.q_mean[r]) < 4 * combined
         assert abs(report.nishimori_site_gap) < 4 * report.nishimori_site_stderr
 
-    def test_thread_count_does_not_change_results(self):
-        size = SystemSize.from_spec(SPEC_K2, 12)
-        serial = quenched_run(SPEC_K2, size, 16, 31, engine="enumeration")
-        threaded = quenched_run(SPEC_K2, size, 16, 31, engine="enumeration",
-                                threads=2)
-        np.testing.assert_array_equal(serial.m_samples, threaded.m_samples)
-        np.testing.assert_array_equal(serial.p_samples, threaded.p_samples)
-
-    def test_thread_count_does_not_change_gibbs_results(self):
-        size = SystemSize.from_spec(SPEC_K2, 40)
-        kwargs = dict(engine="block_gibbs", sweeps=150, burn_in=30, solve_theory=False)
-        serial = quenched_run(SPEC_K2, size, 6, 31, **kwargs)
-        threaded = quenched_run(SPEC_K2, size, 6, 31, threads=2, **kwargs)
-        np.testing.assert_array_equal(serial.m_samples, threaded.m_samples)
-        np.testing.assert_array_equal(serial.q_samples, threaded.q_samples)
+    @pytest.mark.parametrize("engine,n,n_disorder", [
+        ("enumeration", 12, 16), ("block_gibbs", 40, 6)])
+    def test_rows_are_samples_run_alone(self, engine, n, n_disorder):
+        # sample i depends only on (seed, i): row i is its estimate alone
+        size = SystemSize.from_spec(SPEC_K2, n)
+        kwargs = {"sweeps": 150, "burn_in": 30} if engine == "block_gibbs" else {}
+        report = quenched_run(SPEC_K2, size, n_disorder, 31, engine=engine,
+                              solve_theory=False, **kwargs)
+        for i in range(n_disorder):
+            d = sample_disorder(SPEC_K2, size, 31, sample_index=i)
+            alone = (exact_enumerate(d) if engine == "enumeration"
+                     else run_block_gibbs(d, **kwargs))
+            np.testing.assert_array_equal(report.m_samples[i], alone.m)
+            np.testing.assert_array_equal(report.q_samples[i], alone.q)
+            if engine == "enumeration":
+                assert report.p_samples[i] == alone.pressure
 
     def test_magnetization_monotone_in_field(self):
         # separated by 4 combined stderr at two field strengths

@@ -467,6 +467,15 @@ class TestOneKernelPassPerNewtonStep:
         assert calls == {"big_f": 0, "big_f_prime": 0,
                          "big_f_and_prime": sol.iterations + 1}
 
+    @pytest.mark.parametrize("spec", [BALANCED_MU4_H, BASE_K4_H], ids=["k2", "k4"])
+    def test_pi_ascent(self, calls, spec):
+        sol = solve_pi_ascent(spec, tol=1e-10)
+        assert sol.converged
+        # per iteration one fused call at the even arguments and one F' at
+        # the odd ones; F for the final even layers; the fused call in _finish
+        assert calls == {"big_f": 1, "big_f_prime": sol.iterations,
+                         "big_f_and_prime": sol.iterations + 1}
+
 
 class TestSolveNestedBisection:
     def test_k2_matches_fixed_point(self):
