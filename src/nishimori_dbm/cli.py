@@ -101,6 +101,15 @@ def _command_block(config: dict, name: str, overrides: dict) -> dict:
     return defaults
 
 
+def _typed(block: dict, section: str, key: str, cast):
+    """``cast(block[key])``; a value of the wrong type is an input error
+    that names the config key."""
+    try:
+        return cast(block[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"bad value for {section}.{key}: {block[key]!r} ({exc})") from exc
+
+
 def _env_or_flag(args, name: str, cast):
     flag = getattr(args, name, None)
     if flag is not None:
@@ -131,7 +140,7 @@ def _rule_from(config: dict) -> QuadratureRule | None:
     if unknown:
         raise CliError(f"unknown keys in config section 'quadrature': {sorted(unknown)}")
     if "order" in block:
-        return QuadratureRule.gauss_hermite(int(block["order"]))
+        return QuadratureRule.gauss_hermite(_typed(block, "quadrature", "order", int))
     return None
 
 
@@ -142,8 +151,9 @@ def _resolve_grid(grid) -> list:
         unknown = set(grid) - {"start", "stop", "num"}
         if unknown:
             raise CliError(f"unknown grid keys: {sorted(unknown)}")
-        return np.linspace(float(grid["start"]), float(grid["stop"]),
-                           int(grid["num"])).tolist()
+        return np.linspace(_typed(grid, "phase_scan.grid", "start", float),
+                           _typed(grid, "phase_scan.grid", "stop", float),
+                           _typed(grid, "phase_scan.grid", "num", int)).tolist()
     if isinstance(grid, (list, tuple)):
         return list(grid)
     raise CliError("grid must be a list or a {start, stop, num} mapping")
@@ -181,12 +191,13 @@ def cmd_solve(args) -> int:
     block = _command_block(config, "solve", {"tol": _env_or_flag(args, "tol", float),
                                              "method": args.method})
     _echo({"command": "solve", "model": spec.to_dict(), "solve": block})
+    tol = _typed(block, "solve", "tol", float)
+    max_iter = _typed(block, "solve", "max_iter", int)
     methods = {
-        "fixed_point": lambda: solve_fixed_point(
-            spec, tol=block["tol"], max_iter=int(block["max_iter"]), rule=rule),
-        "pi_ascent": lambda: solve_pi_ascent(spec, tol=block["tol"], rule=rule),
-        "nested_bisection": lambda: solve_nested_bisection(
-            spec, tol=block["tol"], rule=rule),
+        "fixed_point": lambda: solve_fixed_point(spec, tol=tol, max_iter=max_iter,
+                                                 rule=rule),
+        "pi_ascent": lambda: solve_pi_ascent(spec, tol=tol, rule=rule),
+        "nested_bisection": lambda: solve_nested_bisection(spec, tol=tol, rule=rule),
     }
     if block["method"] == "all":
         selected = ["fixed_point"]
@@ -228,8 +239,8 @@ def cmd_phase_scan(args) -> int:
     grid = _resolve_grid(block["grid"])
     block["grid"] = grid
     _echo({"command": "phase-scan", "model": spec.to_dict(), "phase_scan": block})
-    points = scan(spec, block["axis"], grid, edge=int(block["edge"]),
-                  tol=block["tol"], rule=rule)
+    points = scan(spec, block["axis"], grid, edge=_typed(block, "phase_scan", "edge", int),
+                  tol=_typed(block, "phase_scan", "tol", float), rule=rule)
     path = _out_dir(args) / "phase_scan.csv"
     write_scan_csv(points, path)
     print(f"wrote {path} ({len(points)} points)")
@@ -243,8 +254,9 @@ def cmd_optimize_alpha(args) -> int:
     if block["mu"] is None:
         block["mu"] = _model_from(config).mu.tolist()
     _echo({"command": "optimize-alpha", "optimize_alpha": block})
-    mu = np.asarray(block["mu"], dtype=float)
-    alpha_star, rho_star = optimize_form_factors(mu, grid_step=float(block["grid_step"]))
+    mu = _typed(block, "optimize_alpha", "mu", lambda v: np.asarray(v, dtype=float))
+    grid_step = _typed(block, "optimize_alpha", "grid_step", float)
+    alpha_star, rho_star = optimize_form_factors(mu, grid_step=grid_step)
     payload = {
         "mu": mu.tolist(),
         "alpha_star": alpha_star.tolist(),
@@ -268,12 +280,12 @@ def _run_quenched(args, command: str, engine: EngineKind) -> int:
         seed = 12345
     block["base_seed"] = seed
     _echo({"command": command, "model": spec.to_dict(), command: block})
-    size = SystemSize.from_spec(spec, int(block["N"]))
+    size = SystemSize.from_spec(spec, _typed(block, command, "N", int))
     kwargs = {}
     if engine is EngineKind.BLOCK_GIBBS:
-        kwargs = {"sweeps": int(block["sweeps"]), "burn_in": int(block["burn_in"]),
-                  "n_replicas": int(block["n_replicas"])}
-    report = quenched_run(spec, size, int(block["n_disorder"]), seed,
+        kwargs = {key: _typed(block, command, key, int)
+                  for key in ("sweeps", "burn_in", "n_replicas")}
+    report = quenched_run(spec, size, _typed(block, command, "n_disorder", int), seed,
                           engine=engine, rule=rule, **kwargs)
     out = _out_dir(args)
     csv_path = out / f"{command}_report.csv"
@@ -307,15 +319,19 @@ def cmd_quadrature_check(args) -> int:
     rule = _rule_from(config)
     block = _command_block(config, "quadrature_check", {})
     _echo({"command": "quadrature-check", "quadrature_check": block})
-    grid = np.logspace(np.log10(float(block["h_min"])), np.log10(float(block["h_max"])),
-                       int(block["points"]))
+    section = "quadrature_check"
+    grid = np.logspace(np.log10(_typed(block, section, "h_min", float)),
+                       np.log10(_typed(block, section, "h_max", float)),
+                       _typed(block, section, "points", int))
+    orders = _typed(block, section, "orders", lambda v: [int(n) for n in v])
+    tolerance = _typed(block, section, "tolerance", float)
     worst = 0.0
     for h in grid:
-        for n in block["orders"]:
-            worst = max(worst, nishimori_residual(float(h), int(n), rule))
-    ok = worst < float(block["tolerance"])
+        for n in orders:
+            worst = max(worst, nishimori_residual(float(h), n, rule))
+    ok = worst < tolerance
     print(f"worst nishimori residual: {worst:.3e} "
-          f"({'<' if ok else '>='} {block['tolerance']:g})")
+          f"({'<' if ok else '>='} {tolerance:g})")
     return 0 if ok else 2
 
 

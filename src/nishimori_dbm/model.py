@@ -275,6 +275,29 @@ def _s_squared_oo(alpha: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return block
 
 
+def _perron_bounds(alpha: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lower <= rho_oo(alpha, mu) <= upper per row of alpha (..., K).
+
+    [S^2]^(oo) is symmetric and nonnegative, so its top eigenvalue lies
+    between its largest diagonal entry and its largest row sum.  Both come
+    from the s_r of ``_s_squared_oo``, one column of alpha at a time, with
+    no block built; the zero padding at the chain ends adds exact zeros, so
+    each entry and each row sum has the bits of the block's own.
+    """
+    k = alpha.shape[-1]
+    s = [0.0] + [mu[j] * np.sqrt(alpha[..., j] * alpha[..., j + 1])
+                 for j in range(k - 1)] + [0.0, 0.0]
+    lower = upper = 0.0
+    left = 0.0  # coupling to the previous odd layer
+    for i in range(0, k, 2):  # odd layers; s[i + 1] is s_i of the chain
+        diag = s[i] ** 2 + s[i + 1] ** 2
+        right = s[i + 1] * s[i + 2]
+        lower = np.maximum(lower, diag)
+        upper = np.maximum(upper, left + diag + right)
+        left = right
+    return lower, upper
+
+
 def rho_oo(alpha, mu) -> np.ndarray:
     """Exact rho([M^2]^(oo)) for form factors alpha of shape (..., K).
 

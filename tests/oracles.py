@@ -4,7 +4,8 @@ The quadrature oracles are deliberately built on scipy.integrate.quad
 (adaptive 1-D integration against the Gaussian density) and plain
 bisection, never on the package's quadrature path, so that agreement
 between the two is a genuine cross-check.  The reference block-Gibbs
-sampler keeps the plain per-layer loop with full matrix-vector products.
+sampler keeps the plain per-layer loop with full matrix-vector products,
+and the reference form-factor optimizer eigensolves every simplex-grid row.
 ``redraw_blocks`` re-draws the two ordered coupling blocks of each layer
 pair from the documented Philox stream, which the package does not keep.
 """
@@ -13,7 +14,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
+from nishimori_dbm.model import rho_oo
+from nishimori_dbm.phase import REFINE_MIN_GAIN_ULPS, _project_simplex, _simplex_grid_array
 from nishimori_dbm.simulator import DisorderSample, EngineKind, GibbsEstimate, _spin_rng
 
 _SQ2PI = np.sqrt(2.0 * np.pi)
@@ -187,3 +191,31 @@ def block_gibbs_reference(disorder: DisorderSample, sweeps: int, burn_in: int,
         site_overlap=site_overlap_sum / n_meas,
         diagnostics={"tau_int_m": tau.tolist(), "measured_sweeps": n_meas},
     )
+
+
+def full_grid_optimize(mu, grid_step: float = 1.0 / 40.0, refine: bool = True):
+    """Reference form-factor optimizer: argmax of rho_oo over every grid row.
+
+    ``optimize_form_factors`` without the Perron-bound pruning: one
+    eigensolve of every simplex-grid row, the first maximal row, then the
+    same Nelder-Mead refinement.  The pruned optimizer must return the
+    same alpha and rho bit for bit.
+    """
+    mu = np.asarray(mu, dtype=float)
+    k = len(mu) + 1
+    grid = _simplex_grid_array(k, int(round(1.0 / grid_step)))
+    lam = rho_oo(grid, mu)
+    best_i = int(np.argmax(lam))
+    alpha, best_rho = grid[best_i], float(lam[best_i])
+    if refine:
+        result = minimize(
+            lambda v: -float(rho_oo(_project_simplex(v), mu)),
+            alpha,
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
+        )
+        candidate = _project_simplex(result.x)
+        cand_rho = float(rho_oo(candidate, mu))
+        if cand_rho - best_rho > REFINE_MIN_GAIN_ULPS * np.spacing(best_rho):
+            alpha, best_rho = candidate, cand_rho
+    return alpha.copy(), float(best_rho)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from nishimori_dbm.model import (
     Chain,
     ModelSpec,
+    _perron_bounds,
+    _s_squared_oo,
     build_effective,
     m_squared_oo,
     odd_even_split,
@@ -105,6 +107,21 @@ def test_batched_grid_equals_per_row(chain):
     batched = rho_oo(grid, chain.mu)
     per_row = [spectral_radius_oo(Chain(row, chain.mu, np.zeros(chain.k))) for row in grid]
     np.testing.assert_array_equal(batched, per_row)
+
+
+@PROPERTIES
+@given(chains())
+@example(PINNED)
+def test_perron_bounds_bracket_rho(chain):
+    # max diagonal <= rho <= max row sum of the symmetric nonnegative
+    # [S^2]^(oo), each bound with the bits of the block's own entries
+    block = _s_squared_oo(chain.alpha, chain.mu)
+    lower, upper = _perron_bounds(chain.alpha, chain.mu)
+    assert lower == block.diagonal().max()
+    assert upper == max(sum(row.tolist()) for row in block)
+    rho = spectral_radius_oo(chain)
+    assert lower <= rho * (1 + 1e-12)
+    assert rho <= upper * (1 + 1e-12)
 
 
 @PROPERTIES

@@ -135,6 +135,27 @@ class TestOptimizeAlpha:
         assert err.startswith("error: grid_step") and "Traceback" not in err
         assert not (tmp_path / "optimize_alpha.json").exists()
 
+    @pytest.mark.parametrize("mu", [[1.0, float("inf")], [float("nan"), 1.0]])
+    def test_non_finite_mu_exits_one(self, tmp_path, capsys, mu):
+        # these wrote "rho_star": NaN, "rho_bound": Infinity and exited 0
+        cfg = write_config(tmp_path, {"optimize_alpha": {"mu": mu}})
+        assert run(["optimize-alpha", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: couplings must be finite\n"
+        assert not (tmp_path / "optimize_alpha.json").exists()
+
+
+@pytest.mark.parametrize("command,section,key,block", [
+    ("optimize-alpha", "optimize_alpha", "grid_step", {"mu": [1.0, 3.0], "grid_step": None}),
+    ("enumerate", "enumerate", "N", {"N": [3]}),
+])
+def test_mistyped_config_value_exits_one(tmp_path, capsys, command, section, key, block):
+    # these ended in a TypeError traceback
+    cfg = write_config(tmp_path, {"model": MODEL_SUPER, section: block})
+    assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad value for {section}.{key}: ")
+    assert "Traceback" not in err
+
 
 class TestSimulationCommands:
     def test_enumerate_and_seed_reproducibility(self, tmp_path):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nishimori_dbm.model import ModelSpec, rho_oo
+from nishimori_dbm import phase
+from nishimori_dbm.model import ModelSpec, _perron_bounds, rho_oo
 from nishimori_dbm.phase import (
     _simplex_grid_array,
     format_scan_csv,
@@ -17,6 +18,7 @@ from nishimori_dbm.phase import (
     write_scan_csv,
 )
 from nishimori_dbm.variational import Phase
+from oracles import full_grid_optimize
 
 BALANCED_K2 = ModelSpec(k=2, alpha=[0.5, 0.5], mu=[1.0], h=[0.0, 0.0])
 
@@ -116,6 +118,18 @@ class TestOptimizeFormFactors:
         with pytest.raises(ValueError, match="grid_step"):
             optimize_form_factors([1.0, 3.0], grid_step=grid_step)
 
+    @pytest.mark.parametrize("mu", [[1.0, math.inf], [math.nan, 1.0], [-math.inf, 2.0],
+                                    [1.0, 2.0, math.nan]])
+    def test_rejects_non_finite_couplings(self, mu, monkeypatch):
+        # these returned alpha = (0, 0, 1) with rho = NaN; the check must
+        # come before the grid is built
+        def no_grid(*args):
+            raise AssertionError("grid built for non-finite couplings")
+
+        monkeypatch.setattr(phase, "_simplex_grid_array", no_grid)
+        with pytest.raises(ValueError, match="finite"):
+            optimize_form_factors(mu)
+
     @pytest.mark.parametrize("mu", [[2.0, 2.0, 1.0], [1.5] * 4])
     def test_flat_family_keeps_grid_row(self, mu):
         # Nelder-Mead finds members of the maximizer family whose rho is
@@ -130,6 +144,37 @@ class TestOptimizeFormFactors:
         alpha, rho = optimize_form_factors([1.0, 3.0])
         np.testing.assert_array_equal(alpha, [0.0, 0.5, 0.5])
         assert rho == 2.25
+
+
+def _pruning_mu(k, kind):
+    """Couplings of a K-layer chain: seeded random, every other edge zero,
+    or flat."""
+    if kind == "flat":
+        return np.full(k - 1, 1.7)
+    mu = np.random.default_rng(100 + k).uniform(0.2, 3.0, size=k - 1)
+    if kind == "zeros":
+        mu[1::2] = 0.0
+    return mu
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("grid_step", [1 / 40, 1.0, 1 / 3, 1 / 7])
+@pytest.mark.parametrize("kind", ["random", "zeros", "flat"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_pruned_grid_equals_full_grid(k, kind, grid_step, refine):
+    mu = _pruning_mu(k, kind)
+    alpha, rho = optimize_form_factors(mu, grid_step=grid_step, refine=refine)
+    ref_alpha, ref_rho = full_grid_optimize(mu, grid_step=grid_step, refine=refine)
+    np.testing.assert_array_equal(alpha, ref_alpha)
+    assert rho == ref_rho
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_unit_grid_has_zero_lower_bounds(k):
+    # every row of the grid_step = 1 grid is one layer, with no coupled
+    # pair, so the largest lower bound is 0 and pruning keeps every row
+    lower, upper = _perron_bounds(_simplex_grid_array(k, 1), np.ones(k - 1))
+    assert not lower.any() and not upper.any()
 
 
 def _itertools_simplex_grid(k, steps):
